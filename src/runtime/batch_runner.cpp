@@ -79,52 +79,22 @@ std::uint32_t BatchRunner::register_model(nn::Network net,
   return pool_.register_model(stored_net, stored_weights);
 }
 
-std::vector<RequestResult> BatchRunner::serve(
-    std::vector<InferenceRequest> requests,
-    const std::vector<ScheduledService>& schedule, bool simulate_values) {
-  if (options_.dispatch == DispatchPolicy::kPipeline) {
-    // Pipelined service splits requests into per-stage runs chained across
-    // PCUs by the schedule's StageService spans (requests the schedule
-    // placed off any group run whole, as usual).
-    return pool_.serve_pipelined(std::move(requests), schedule,
-                                 simulate_values);
-  }
-  if (pool_.homogeneous() && !options_.shed_expired &&
-      !options_.faults.enabled()) {
-    // Dynamic sharding: any PCU computes the same bits for a request, so
-    // the fastest host thread simply grabs the next one.
-    const std::size_t batch = requests.size();
-    RequestQueue queue;
-    for (InferenceRequest& request : requests) queue.push(std::move(request));
-    queue.close();
-    return pool_.serve_all(queue, batch, simulate_values);
-  }
-  // Heterogeneous: the scheduled PCU's device model must produce each
-  // output, so the physical assignment follows the virtual-time schedule.
-  // With shedding or fault injection the schedule also decides *which*
-  // requests run at all, so a homogeneous pool follows it too (shed and
-  // fault-lost ids stay placeholders).
-  return pool_.serve_scheduled(std::move(requests), schedule, simulate_values);
-}
-
 std::vector<RequestResult> BatchRunner::run(
     const std::vector<nn::Tensor>& inputs, FleetReport* report) {
   const std::size_t batch = inputs.size();
 
   // Deterministic virtual-time schedule: the closed batch is the
   // degenerate all-at-t=0 arrival process, so the same admission loop
-  // that prices open-loop serving prices it. A homogeneous fleet without a
-  // report skips it (dynamic sharding needs no assignment).
-  AdmissionResult admission;
-  if (!pool_.homogeneous() || report || options_.shed_expired ||
-      options_.faults.enabled() ||
-      options_.dispatch == DispatchPolicy::kPipeline)
-    admission = simulate_admission_result(closed_batch_arrivals(batch), {}, {});
+  // that prices open-loop serving prices it — and assigns every request
+  // its PCU.
+  const AdmissionResult admission =
+      simulate_admission_result(closed_batch_arrivals(batch), {}, {});
   const std::vector<ScheduledService>& schedule = admission.schedule;
 
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<RequestResult> results = serve(
-      make_requests(inputs, {}, {}, {}), schedule, options_.simulate_values);
+  std::vector<RequestResult> results =
+      pool_.serve(make_requests(inputs, {}, {}, {}), schedule,
+                  options_.simulate_values);
   const auto wall_end = std::chrono::steady_clock::now();
   for (const RequestLoss& l : admission.fault.losses)
     results[static_cast<std::size_t>(l.id)].failed = true;
@@ -204,23 +174,20 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
                                            << arrivals.size() << " arrive");
   validate_arrival_schedule(arrivals);
 
-  // On a homogeneous fleet physical serving is identical to the closed
-  // batch: arrival times shape only the virtual-time schedule, never the
-  // per-request seeds, so the outputs stay bit-identical to
-  // run()/run_one(). A heterogeneous fleet additionally follows the
-  // schedule's PCU assignment, so outputs are still deterministic. With
-  // shedding the schedule is always needed: it decides which requests run.
-  AdmissionResult admission;
-  if (!pool_.homogeneous() || report || options_.telemetry ||
-      options_.shed_expired || options_.faults.enabled() ||
-      options_.dispatch == DispatchPolicy::kPipeline)
-    admission = simulate_admission_result(arrivals, slos, models);
+  // Arrival times shape only the virtual-time schedule, never the
+  // per-request seeds: each request runs on the PCU the schedule assigned
+  // it, so on a homogeneous fleet the outputs stay bit-identical to
+  // run()/run_one(), and on any fleet they repeat run to run. The
+  // schedule also decides which requests run at all (shed and fault-lost
+  // ids stay placeholders).
+  const AdmissionResult admission =
+      simulate_admission_result(arrivals, slos, models);
 
   const std::size_t batch = inputs.size();
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<RequestResult> results =
-      serve(make_requests(inputs, arrivals, slos, models), admission.schedule,
-            options_.simulate_values);
+      pool_.serve(make_requests(inputs, arrivals, slos, models),
+                  admission.schedule, options_.simulate_values);
   const auto wall_end = std::chrono::steady_clock::now();
   for (const ShedDecision& d : admission.shed.decisions)
     results[static_cast<std::size_t>(d.id)].shed = true;
@@ -241,15 +208,6 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
     if (report) *report = std::move(r);
   }
   return results;
-}
-
-OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals) {
-  return simulate_open_loop(arrivals, SloSchedule{}, ModelSchedule{});
-}
-
-OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
-                                               const SloSchedule& slos) {
-  return simulate_open_loop(arrivals, slos, ModelSchedule{});
 }
 
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,

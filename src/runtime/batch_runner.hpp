@@ -19,24 +19,23 @@
 //
 // Two clocks are deliberately separated:
 //
-//  * Host wall-clock decides which physical worker simulates which request.
-//    On a homogeneous fleet this is dynamic sharding (a slow host core
-//    simply grabs fewer requests) and affects nothing but load balancing of
-//    the simulation work itself. On a heterogeneous fleet the physical
-//    assignment instead follows the deterministic virtual-time schedule
-//    (PcuPool::serve_scheduled), because PCUs with different device models
-//    produce different — all valid — output bits, and "which PCU served
-//    request i" must not depend on host timing.
-//
 //  * Simulated hardware time is accounted by the deterministic virtual-time
 //    admission loop (PcuPool::simulate_admission): requests are admitted in
 //    arrival order (or by deadline urgency under kEdf) and dispatched by
 //    BatchRunnerOptions::dispatch (earliest-free, least-loaded,
-//    capability-aware, or EDF). With shed_expired the loop load-sheds
-//    requests that cannot meet their deadline; with options.autoscaler the
-//    active fleet grows and shrinks against backlog. All reported
-//    latency / throughput / energy numbers come from this schedule, so
-//    reports are reproducible run to run and machine to machine.
+//    capability-aware, EDF, model-affinity, or pipeline). With
+//    shed_expired the loop load-sheds requests that cannot meet their
+//    deadline; with options.autoscaler the active fleet grows and shrinks
+//    against backlog. All reported latency / throughput / energy numbers
+//    come from this schedule, so reports are reproducible run to run and
+//    machine to machine. Every run() and run_open_loop() call runs it.
+//
+//  * Host wall-clock only measures the physical simulation work
+//    (PcuPool::serve), which follows the schedule: each request runs on
+//    the PCU the schedule assigned it. PCUs with different device models
+//    produce different — all valid — output bits, so "which PCU served
+//    request i" must not depend on host timing; on a homogeneous fleet the
+//    same rule makes RequestResult::pcu_index repeat run to run.
 //
 // Every serving-configuration knob on this page is cataloged in
 // docs/configuration.md.
@@ -92,10 +91,11 @@ struct BatchRunnerOptions {
   /// keeps every serving path bit-identical to a fault-free build.
   FaultOptions faults;
   /// Opt-in observability (runtime/telemetry.hpp). Borrowed; may be null
-  /// (the default — telemetry off). When set, open-loop runs record
-  /// per-request spans, dispatch/engine metrics, and the finished report
-  /// into it; every schedule, output, and report stays bitwise identical
-  /// either way. One Telemetry per concurrently running fleet.
+  /// (the default — telemetry off). When set, every admission run records
+  /// per-request spans and dispatch metrics into it, and open-loop runs
+  /// add engine metrics and the finished report; every schedule, output,
+  /// and report stays bitwise identical either way. One Telemetry per
+  /// concurrently running fleet.
   Telemetry* telemetry = nullptr;
   /// Base seed; per-request engine seeds derive from it (SplitMix64), so
   /// the whole batch is reproducible from this one number.
@@ -372,13 +372,13 @@ class BatchRunner {
 
   /// Open-loop serving: request i arrives at `arrivals[i]` (simulated
   /// seconds; validate_arrival_schedule is enforced, and arrivals.size()
-  /// must equal inputs.size()). On a homogeneous fleet the functional
-  /// results are bit-identical to run() / run_one() for the same ids —
-  /// arrival times shape only the virtual-time schedule the OpenLoopReport
-  /// summarizes. On a heterogeneous fleet each output is computed by the
+  /// must equal inputs.size()). Each output is computed by the
   /// deterministically scheduled PCU's own device model, so results are
-  /// still bit-reproducible run to run, but can legitimately differ
-  /// between dispatch policies (a different PCU is a different chip).
+  /// bit-reproducible run to run. On a homogeneous fleet they are also
+  /// bit-identical to run() / run_one() for the same ids — arrival times
+  /// shape only the virtual-time schedule the OpenLoopReport summarizes.
+  /// On a heterogeneous fleet they can legitimately differ between
+  /// dispatch policies (a different PCU is a different chip).
   std::vector<RequestResult> run_open_loop(
       const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
       OpenLoopReport* report = nullptr);
@@ -407,19 +407,11 @@ class BatchRunner {
   /// and return its report without running any functional inference
   /// (energy is filled from the per-request analytical model of the PCU
   /// each request was dispatched to). Lets load sweeps use tens of
-  /// thousands of requests cheaply.
-  OpenLoopReport simulate_open_loop(const ArrivalSchedule& arrivals);
-
-  /// Timing-only SLO-aware open loop (see the SloSchedule overload of
-  /// run_open_loop for the `slos` contract).
+  /// thousands of requests cheaply. `slos` and `models` follow the
+  /// run_open_loop contracts (empty = no SLO metadata / primary model).
   OpenLoopReport simulate_open_loop(const ArrivalSchedule& arrivals,
-                                    const SloSchedule& slos);
-
-  /// Timing-only multi-model open loop (see the ModelSchedule overload of
-  /// run_open_loop for the `models` contract).
-  OpenLoopReport simulate_open_loop(const ArrivalSchedule& arrivals,
-                                    const SloSchedule& slos,
-                                    const ModelSchedule& models);
+                                    const SloSchedule& slos = {},
+                                    const ModelSchedule& models = {});
 
   /// Sequential single-PCU baseline: serves request `id` on PCU 0 with the
   /// same per-request seed run() would use — the bit-identity reference.
@@ -446,13 +438,6 @@ class BatchRunner {
   std::vector<InferenceRequest> make_requests(
       const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
       const SloSchedule& slos, const ModelSchedule& models) const;
-
-  /// Physically serve `requests`: dynamic sharding on a homogeneous pool,
-  /// schedule-driven assignment otherwise — and always schedule-driven
-  /// when shedding may skip requests.
-  std::vector<RequestResult> serve(std::vector<InferenceRequest> requests,
-                                   const std::vector<ScheduledService>& schedule,
-                                   bool simulate_values);
 
   /// Derive every schedule-dependent OpenLoopReport field.
   OpenLoopReport summarize_schedule(const AdmissionResult& admission,

@@ -46,20 +46,10 @@ PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
                  const nn::Network& net, const nn::NetWeights& weights) {
   PCNNA_CHECK_MSG(!specs.empty(), "a PcuPool needs at least one PCU");
   pcus_.reserve(specs.size());
-  const core::PcnnaConfig reference = effective_config(specs.front());
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const core::PcnnaConfig config = effective_config(specs[i]);
-    // Homogeneity is decided on the *device model* alone: only the config
-    // changes what bits a PCU computes for a given request (warmup policy
-    // and tag shape scheduling and reporting, never outputs). Engine
-    // threads are normalized out of the comparison for the same reason —
-    // outputs are bit-identical for any thread count.
-    core::PcnnaConfig comparable = config;
-    comparable.engine_threads = reference.engine_threads;
-    if (!(comparable == reference)) homogeneous_ = false;
-    pcus_.emplace_back(i, config, fidelity, net, weights, specs[i].warmup,
-                       std::move(specs[i].tag));
+    pcus_.emplace_back(i, effective_config(specs[i]), fidelity, net, weights,
+                       specs[i].warmup, std::move(specs[i].tag));
     min_passes = std::min(min_passes, pcus_.back().channel_split_passes());
   }
   min_split_passes_.push_back(min_passes);
@@ -188,114 +178,20 @@ PcuPool::PcuPool(std::size_t num_pcus, const core::PcnnaConfig& config,
   // check.
 }
 
-std::vector<RequestResult> PcuPool::serve_all(RequestQueue& queue,
-                                              std::size_t expected_requests,
-                                              bool simulate_values) {
-  PCNNA_CHECK_MSG(homogeneous_,
-                  "serve_all shards dynamically, which is only output-safe "
-                  "when every PCU is identical; use serve_scheduled on a "
-                  "heterogeneous pool");
-  std::vector<RequestResult> results(expected_requests);
-  // Byte flags, not vector<bool>: distinct bytes are safe to write from
-  // different workers; packed bits are not.
-  std::vector<unsigned char> served(expected_requests, 0);
-
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  auto worker = [&](Pcu& pcu) {
-    InferenceRequest request;
-    while (queue.pop(request)) {
-      try {
-        PCNNA_CHECK_MSG(request.id < expected_requests,
-                        "request id " << request.id << " out of range");
-        // Distinct ids address distinct slots, so workers never write the
-        // same element concurrently.
-        results[request.id] = pcu.serve(request, simulate_values);
-        served[request.id] = 1;
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(pcus_.size());
-  for (Pcu& pcu : pcus_) threads.emplace_back(worker, std::ref(pcu));
-  for (std::thread& t : threads) t.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-  for (std::size_t id = 0; id < expected_requests; ++id)
-    PCNNA_CHECK_MSG(served[id], "request " << id << " was never served");
-  return results;
-}
-
-std::vector<RequestResult> PcuPool::serve_scheduled(
+std::vector<RequestResult> PcuPool::serve(
     std::vector<InferenceRequest> requests,
     const std::vector<ScheduledService>& schedule, bool simulate_values) {
   PCNNA_CHECK_MSG(schedule.size() <= requests.size(),
                   "schedule covers " << schedule.size()
                                      << " requests but only "
                                      << requests.size() << " were given");
-  // Per-PCU assignment lists in schedule (= admission) order; each request
-  // id must be scheduled at most once and index into `requests`. Ids the
-  // schedule skips (load-shed requests) are simply never served — their
-  // result slot stays an id-only placeholder.
-  std::vector<std::vector<std::size_t>> assigned(pcus_.size());
-  std::vector<unsigned char> seen(requests.size(), 0);
-  for (const ScheduledService& s : schedule) {
-    PCNNA_CHECK_MSG(s.pcu < pcus_.size(),
-                    "scheduled PCU " << s.pcu << " out of range");
-    PCNNA_CHECK_MSG(s.id < requests.size() && !seen[s.id],
-                    "schedule must name each request id at most once (id "
-                        << s.id << ")");
-    seen[s.id] = 1;
-    assigned[s.pcu].push_back(static_cast<std::size_t>(s.id));
-  }
-
-  std::vector<RequestResult> results(requests.size());
-  // Pre-fill every slot with the request's identity metadata: ids the
-  // schedule skips (load-shed requests) stay placeholders, but per-tenant
-  // and per-model accounting must still see who they were.
-  for (std::size_t id = 0; id < results.size(); ++id) {
-    results[id].id = id;
-    results[id].model_id = requests[id].model_id;
-    results[id].tenant = requests[id].tenant;
-  }
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  // One worker per PCU over its own assignment list: the worker owns its
-  // Pcu exclusively, and distinct ids address distinct result slots.
-  auto worker = [&](std::size_t p) {
-    try {
-      for (const std::size_t id : assigned[p])
-        results[id] = pcus_[p].serve(requests[id], simulate_values);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(pcus_.size());
-  for (std::size_t p = 0; p < pcus_.size(); ++p)
-    threads.emplace_back(worker, p);
-  for (std::thread& t : threads) t.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
-std::vector<RequestResult> PcuPool::serve_pipelined(
-    std::vector<InferenceRequest> requests,
-    const std::vector<ScheduledService>& schedule, bool simulate_values) {
-  PCNNA_CHECK_MSG(schedule.size() <= requests.size(),
-                  "schedule covers " << schedule.size()
-                                     << " requests but only "
-                                     << requests.size() << " were given");
+  // Result slots are addressed by position, and every slot is labelled
+  // with its position below: a request whose own id differs would come
+  // back under another request's id.
+  for (std::size_t k = 0; k < requests.size(); ++k)
+    PCNNA_CHECK_MSG(requests[k].id == k,
+                    "requests must have dense ids: requests["
+                        << k << "] has id " << requests[k].id);
   constexpr std::size_t kWhole = std::numeric_limits<std::size_t>::max();
 
   /// One unit of PCU work: a whole request (stage == kWhole) or one stage
@@ -1723,14 +1619,6 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
   }
   if (telemetry) telemetry->record_admission(result, *this, options);
   return result;
-}
-
-std::vector<ScheduledService> PcuPool::simulate_admission(
-    RequestQueue& queue, bool double_buffer, DispatchPolicy policy) {
-  AdmissionOptions options;
-  options.double_buffer = double_buffer;
-  options.policy = policy;
-  return simulate_admission(queue, options).schedule;
 }
 
 } // namespace pcnna::runtime

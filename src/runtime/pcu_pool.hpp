@@ -1,5 +1,4 @@
-// Fleet of PCUs draining a shared RequestQueue — homogeneous or
-// heterogeneous.
+// Fleet of PCUs serving a request stream — homogeneous or heterogeneous.
 //
 // A PcuPool is built from a vector of PcuSpec (one per PCU: its own
 // PcnnaConfig, engine-thread override, warmup policy, capability tag), or
@@ -10,24 +9,22 @@
 //
 // Two jobs, deliberately separated:
 //
-//  * Physical simulation (serve_all / serve_scheduled): worker threads do
-//    the functional inference work on the host. Each Pcu is owned by
-//    exactly one worker thread for the duration of a call — workers never
-//    share a Pcu, so Pcu::serve needs no locking; distinct Pcus serve
-//    concurrently. In the homogeneous serve_all mode, workers pull
-//    requests off the queue dynamically (a slow host thread simply grabs
-//    fewer) — safe because every request carries its own engine seed, so
-//    sharding changes only *who* computes a result, never the result. In
-//    the heterogeneous serve_scheduled mode the physical assignment must
-//    follow the deterministic virtual-time schedule instead, because PCUs
-//    with different device models produce different (all valid) outputs.
-//
 //  * Timing accounting (simulate_admission): a single-threaded,
 //    deterministic virtual-time loop that replays the request stream
 //    against its arrival timestamps, charges each request its queueing
 //    delay, and dispatches by a pluggable DispatchPolicy. All reported
 //    latency/throughput numbers come from this schedule, never from host
 //    thread interleaving.
+//
+//  * Physical simulation (serve): worker threads do the functional
+//    inference work on the host, each request on exactly the PCU the
+//    admission schedule assigned it (a pipelined request stage by stage
+//    on the PCUs its spans name). Each Pcu is owned by exactly one worker
+//    thread for the duration of a call — workers never share a Pcu, so
+//    Pcu::serve needs no locking; distinct Pcus serve concurrently. The
+//    schedule is deterministic and every request carries its own engine
+//    seed, so which PCU computed each output, and the output bits, repeat
+//    run to run on any fleet.
 #pragma once
 
 #include <cstddef>
@@ -251,9 +248,8 @@ struct AutoscalerPolicy {
   double shrink_after_idle = 0.0;
 };
 
-/// Everything that shapes one admission-loop run (the long form of
-/// simulate_admission; the (double_buffer, policy) overload is the
-/// backward-compatible shorthand).
+/// Everything that shapes one admission-loop run (see
+/// PcuPool::simulate_admission).
 struct AdmissionOptions {
   /// Price service as the double-buffered steady-state interval plus
   /// warmup (true) or the serial request time (false).
@@ -356,12 +352,6 @@ class PcuPool {
   /// Number of registered models (>= 1).
   std::size_t num_models() const { return min_split_passes_.size(); }
 
-  /// True when every PCU was built from an identical spec (the legacy
-  /// constructor, or a spec vector whose entries all match). Homogeneous
-  /// pools may shard functional work dynamically; heterogeneous ones must
-  /// serve on the scheduled PCU (serve_scheduled).
-  bool homogeneous() const { return homogeneous_; }
-
   /// Fleet-minimum Pcu::channel_split_passes for one model — the bar a
   /// PCU must meet to be *capable* of that model under
   /// DispatchPolicy::kCapabilityAware and for kModelAffinity's
@@ -401,44 +391,25 @@ class PcuPool {
   void place_pipeline(PipelineGroup& g,
                       const std::vector<std::size_t>& candidates) const;
 
-  /// Drain `queue` with one worker thread per PCU and return the results
-  /// ordered by request id. Work is sharded dynamically, which is only
-  /// output-safe on a homogeneous pool (any PCU computes the same bits for
-  /// a given request); throws pcnna::Error on a heterogeneous pool — use
-  /// serve_scheduled there. Requests must have dense ids in
-  /// [0, expected_requests); the queue must already be closed (or be
-  /// closed by a concurrent producer) for the call to terminate. Rethrows
-  /// the first worker exception after all threads join.
-  std::vector<RequestResult> serve_all(RequestQueue& queue,
-                                       std::size_t expected_requests,
-                                       bool simulate_values);
-
-  /// Serve `requests` on exactly the PCU the virtual-time `schedule`
-  /// assigned to each (one worker thread per PCU, each walking its own
-  /// assignment list in schedule order). Deterministic even on a
-  /// heterogeneous pool: the schedule is deterministic, so the same PCU —
-  /// hence the same device model — produces each output every run.
-  /// `schedule` must reference request ids in [0, requests.size()), each
-  /// at most once; ids absent from the schedule (load-shed requests) come
-  /// back as empty placeholder results that still carry their id,
-  /// model_id, and tenant (so per-tenant / per-model accounting stays
-  /// correct under shedding). Results come back ordered by request id.
-  /// Rethrows the first worker exception after all threads join.
-  std::vector<RequestResult> serve_scheduled(
-      std::vector<InferenceRequest> requests,
-      const std::vector<ScheduledService>& schedule, bool simulate_values);
-
-  /// serve_scheduled for a schedule containing pipelined entries: each
-  /// ScheduledService with stage spans runs as a chain — every stage
-  /// executes on exactly the PCU its span names, in span-start order per
-  /// PCU, handing the activation and the engine RNG state to the next
-  /// stage (Pcu::serve_stage). One worker thread per PCU: stage n of
-  /// image i really does overlap stage n-1 of image i+1 on the host.
-  /// Entries without stage spans serve exactly as in serve_scheduled, so a
-  /// mixed schedule (pipelined models + fallback data-parallel models) is
-  /// fine. The span chains come from the deterministic admission loop, so
-  /// the dependency order is acyclic and outputs are deterministic.
-  std::vector<RequestResult> serve_pipelined(
+  /// Serve `requests` on exactly the PCUs the virtual-time `schedule`
+  /// assigned, one worker thread per PCU walking its own work list in
+  /// virtual start order. An entry without stage spans runs whole on its
+  /// PCU (Pcu::serve). An entry with stage spans runs as a chain: every
+  /// stage executes on the PCU its span names, handing the activation and
+  /// the engine RNG state to the next stage (Pcu::serve_stage), so stage n
+  /// of image i really does overlap stage n-1 of image i+1 on the host. The
+  /// span chains come from the deterministic admission loop, so the
+  /// dependency order is acyclic and outputs are deterministic.
+  ///
+  /// `requests` must have dense ids (requests[k].id == k). `schedule` must
+  /// reference request ids in [0, requests.size()), each at most once; ids
+  /// absent from the schedule (load-shed or fault-lost requests) come back
+  /// as empty placeholder results that still carry their id, model_id, and
+  /// tenant (so per-tenant / per-model accounting stays correct). Results
+  /// come back ordered by request id. Throws pcnna::Error on a violated
+  /// precondition; rethrows the first worker exception after all threads
+  /// join.
+  std::vector<RequestResult> serve(
       std::vector<InferenceRequest> requests,
       const std::vector<ScheduledService>& schedule, bool simulate_values);
 
@@ -510,15 +481,8 @@ class PcuPool {
   AdmissionResult simulate_admission(RequestQueue& queue,
                                      const AdmissionOptions& options);
 
-  /// Shorthand for the pre-SLO call sites: no shedding, no autoscaler.
-  /// Returns just the schedule — one entry per request.
-  std::vector<ScheduledService> simulate_admission(
-      RequestQueue& queue, bool double_buffer,
-      DispatchPolicy policy = DispatchPolicy::kEarliestFree);
-
  private:
   std::vector<Pcu> pcus_;
-  bool homogeneous_ = true;
   /// Fleet-minimum split passes, one entry per registered model.
   std::vector<std::size_t> min_split_passes_;
   /// Pipeline groups (at most one per model; see build_pipeline).

@@ -25,37 +25,17 @@ const char* priority_class_name(PriorityClass priority) {
 }
 
 void RequestQueue::push(InferenceRequest request) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PCNNA_CHECK_MSG(!closed_, "push() on a closed RequestQueue");
-    PCNNA_CHECK_MSG(
-        request.arrival_time >= last_arrival_,
-        "out-of-order push: request " << request.id << " arrives at t="
-            << request.arrival_time << " but a request arriving at t="
-            << last_arrival_
-            << " was already pushed — virtual-time admission needs "
-               "nondecreasing arrival_time (sort the trace)");
-    last_arrival_ = request.arrival_time;
-    queue_.push_back(std::move(request));
-  }
-  cv_.notify_one();
-}
-
-bool RequestQueue::pop(InferenceRequest& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-  if (queue_.empty()) return false;
-  out = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
-}
-
-bool RequestQueue::try_pop(InferenceRequest& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return false;
-  out = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
+  PCNNA_CHECK_MSG(!closed_, "push() on a closed RequestQueue");
+  PCNNA_CHECK_MSG(
+      request.arrival_time >= last_arrival_,
+      "out-of-order push: request " << request.id << " arrives at t="
+          << request.arrival_time << " but a request arriving at t="
+          << last_arrival_
+          << " was already pushed — virtual-time admission needs "
+             "nondecreasing arrival_time (sort the trace)");
+  last_arrival_ = request.arrival_time;
+  queue_.push_back(std::move(request));
 }
 
 bool RequestQueue::pop_arrived(double virtual_now, InferenceRequest& out) {
@@ -75,11 +55,8 @@ bool RequestQueue::next_arrival(double& when) const {
 }
 
 void RequestQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  closed_ = true;
 }
 
 bool RequestQueue::closed() const {

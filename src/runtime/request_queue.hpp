@@ -1,26 +1,14 @@
-// Thread-safe inference request queue for the batch-parallel runtime.
+// Inference requests and the arrival-ordered queue the admission loop
+// replays.
 //
-// A RequestQueue is the single work-distribution point of a PcuPool: the
-// submitter pushes InferenceRequests, N PCU workers pop them. close() wakes
-// every blocked consumer once the stream ends; pop() then drains whatever is
-// left and finally reports exhaustion. Requests carry their own engine seed
-// so results are bit-identical no matter which PCU (or how many) serves
-// them — dynamic sharding must never change the numbers.
-//
-// The queue serves two distinct consumers:
-//
-//  * PCU worker threads (pop / try_pop) drain it concurrently to do the
-//    physical simulation work; ordering between workers is wall-clock
-//    nondeterministic and deliberately irrelevant to results. This is the
-//    homogeneous-fleet path (PcuPool::serve_all) — a heterogeneous fleet
-//    must pin each request to its scheduled PCU instead, so it bypasses
-//    the shared queue entirely (PcuPool::serve_scheduled walks per-PCU
-//    assignment lists).
-//
-//  * The virtual-time admission loop (pop_arrived / next_arrival) replays
-//    the same requests single-threaded against their simulated arrival
-//    timestamps to charge queueing delay deterministically
-//    (PcuPool::simulate_admission).
+// A RequestQueue holds a closed stream of InferenceRequests in
+// nondecreasing arrival order. Its consumer is the virtual-time admission
+// loop (PcuPool::simulate_admission), which drains it single-threaded
+// (pop_arrived / next_arrival) against the requests' simulated arrival
+// timestamps to charge queueing delay deterministically. The physical
+// simulation work never pops the queue: PcuPool::serve runs each request
+// on the PCU the resulting schedule assigned. Requests carry their own
+// engine seed, so an output never depends on which thread computed it.
 //
 // Thread-safety: every member function takes the internal mutex and is safe
 // to call from any thread, but the virtual-time interface is only
@@ -28,7 +16,6 @@
 // across threads would race on the virtual clock it advances).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -105,7 +92,8 @@ using ModelSchedule = std::vector<std::uint32_t>;
 std::uint64_t derive_request_seed(std::uint64_t base_seed,
                                   std::uint64_t request_id);
 
-/// Unbounded multi-producer / multi-consumer FIFO with shutdown semantics.
+/// Unbounded FIFO of requests in nondecreasing arrival order, with
+/// shutdown semantics.
 class RequestQueue {
  public:
   RequestQueue() = default;
@@ -118,13 +106,6 @@ class RequestQueue {
   /// earliest pending arrival, so an out-of-order push (e.g. an unsorted
   /// trace file) would silently corrupt virtual-time admission.
   void push(InferenceRequest request);
-
-  /// Block until a request is available or the queue is closed and drained.
-  /// Returns false (leaving `out` untouched) only on exhaustion.
-  bool pop(InferenceRequest& out);
-
-  /// Non-blocking variant: returns false when nothing is currently queued.
-  bool try_pop(InferenceRequest& out);
 
   // --- Virtual-time interface (open-loop admission loop) ---
   //
@@ -140,8 +121,8 @@ class RequestQueue {
   /// time into `when` [s]. Returns false when the queue is empty.
   bool next_arrival(double& when) const;
 
-  /// End the stream: no further push() succeeds, blocked pop()s drain the
-  /// remaining requests and then return false.
+  /// End the stream: no further push() succeeds. The admission loop
+  /// requires a closed queue.
   void close();
 
   bool closed() const;
@@ -149,7 +130,6 @@ class RequestQueue {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<InferenceRequest> queue_;
   /// Largest arrival_time pushed so far (persists across pops), enforcing
   /// the nondecreasing-push precondition of the virtual-time interface.

@@ -15,9 +15,9 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/config.hpp"
 #include "nn/models.hpp"
@@ -122,7 +122,6 @@ TEST(HeteroFleet, HomogeneousSpecVectorBitIdenticalToLegacyConstructor) {
   std::vector<PcuSpec> specs(3);
   for (PcuSpec& spec : specs) spec.config = config;
   BatchRunner via_specs(specs, s.net, s.weights, options(/*pcus=*/3));
-  EXPECT_TRUE(via_specs.pool().homogeneous());
   FleetReport spec_fleet;
   const std::vector<RequestResult> spec_out =
       via_specs.run(s.inputs, &spec_fleet);
@@ -149,8 +148,8 @@ TEST(HeteroFleet, HomogeneousSpecVectorBitIdenticalToLegacyConstructor) {
 }
 
 // Engine threads are a host-simulation knob with bit-identical outputs,
-// so per-spec thread overrides must not demote a fleet to heterogeneous
-// (which would refuse dynamic sharding for no reason).
+// so per-spec thread overrides leave a fleet of identical device models
+// computing exactly what a single-threaded legacy fleet computes.
 TEST(HeteroFleet, EngineThreadOverridesKeepPoolHomogeneous) {
   const Served s = make_served(4);
   std::vector<PcuSpec> specs(2);
@@ -159,9 +158,8 @@ TEST(HeteroFleet, EngineThreadOverridesKeepPoolHomogeneous) {
   specs[1].config = PcnnaConfig::paper_defaults();
   specs[1].engine_threads = 2;
   BatchRunner fleet(specs, s.net, s.weights, options(/*pcus=*/2));
-  EXPECT_TRUE(fleet.pool().homogeneous());
 
-  // And the outputs really are thread-count-independent: identical to a
+  // The outputs are thread-count-independent: identical to a
   // single-threaded legacy fleet.
   BatchRunner legacy(PcnnaConfig::paper_defaults(), s.net, s.weights,
                      options(/*pcus=*/2));
@@ -194,7 +192,6 @@ TEST(HeteroFleet, SplitPassCapabilityReflectsWavelengthBudget) {
   BatchRunner fleet(mixed_specs(), s.net, s.weights,
                     options(/*pcus=*/4, /*simulate_values=*/false));
   runtime::PcuPool& pool = fleet.pool();
-  EXPECT_FALSE(pool.homogeneous());
   EXPECT_GT(pool.pcu(2).channel_split_passes(),
             pool.pcu(0).channel_split_passes());
   EXPECT_EQ(pool.min_split_passes(), pool.pcu(0).channel_split_passes());
@@ -396,47 +393,71 @@ TEST(HeteroFleet, PerPcuBreakdownsAreConsistentWithTotals) {
   EXPECT_EQ("small", r.per_pcu[3].tag);
 }
 
-// Functional serving on a heterogeneous fleet follows the deterministic
-// virtual-time assignment: which PCU produced each output is reproducible,
-// and so are the output bits.
-TEST(HeteroFleet, FunctionalServingFollowsTheVirtualSchedule) {
-  const Served s = make_served(10);
-  BatchRunnerOptions o = options(/*pcus=*/4);
-  o.dispatch = DispatchPolicy::kLeastLoaded;
+/// One functional serving call: the results plus the virtual schedule's
+/// per-PCU request counts from its report.
+struct ServedRun {
+  std::vector<RequestResult> results;
+  std::vector<std::size_t> virtual_per_pcu;
+};
 
-  BatchRunner a(mixed_specs(), s.net, s.weights, o);
-  OpenLoopReport ra;
-  const ArrivalSchedule arrivals =
-      runtime::poisson_arrivals(s.inputs.size(), 1500.0, 7);
-  const std::vector<RequestResult> out_a =
-      a.run_open_loop(s.inputs, arrivals, &ra);
+/// Run `serve` `runs` times and check that the physical assignment always
+/// matches the virtual schedule's per-PCU counts, and that every run
+/// reproduces run 0's assignment and output bits.
+template <typename Serve>
+void expect_serving_follows_schedule(std::size_t pcus, int runs,
+                                     const std::string& what, Serve serve) {
+  const ServedRun first = serve();
+  for (int run = 0; run < runs; ++run) {
+    const ServedRun r = run == 0 ? first : serve();
+    std::vector<std::size_t> physical(pcus, 0);
+    for (const RequestResult& result : r.results)
+      physical[result.pcu_index] += 1;
+    EXPECT_EQ(r.virtual_per_pcu, physical) << what << ", run " << run;
 
-  BatchRunner b(mixed_specs(), s.net, s.weights, o);
-  OpenLoopReport rb;
-  const std::vector<RequestResult> out_b =
-      b.run_open_loop(s.inputs, arrivals, &rb);
-
-  // Physical assignment matches the virtual schedule's per-PCU counts.
-  std::vector<std::size_t> physical(4, 0);
-  for (const RequestResult& result : out_a) physical[result.pcu_index] += 1;
-  EXPECT_EQ(ra.virtual_requests_per_pcu, physical);
-
-  // Identical runs reproduce both the assignment and every output bit.
-  ASSERT_EQ(out_a.size(), out_b.size());
-  for (std::size_t id = 0; id < out_a.size(); ++id) {
-    EXPECT_EQ(out_a[id].pcu_index, out_b[id].pcu_index);
-    EXPECT_EQ(out_a[id].output, out_b[id].output);
+    ASSERT_EQ(first.results.size(), r.results.size());
+    for (std::size_t id = 0; id < r.results.size(); ++id) {
+      EXPECT_EQ(first.results[id].pcu_index, r.results[id].pcu_index)
+          << what << ", run " << run << ", request " << id;
+      EXPECT_EQ(first.results[id].output, r.results[id].output)
+          << what << ", run " << run << ", request " << id;
+    }
   }
 }
 
-// Dynamic sharding is refused on a heterogeneous pool: it would make the
-// output bits depend on host thread timing.
-TEST(HeteroFleet, DynamicShardingRejectedOnHeterogeneousPool) {
-  const Served s = make_served(2);
-  BatchRunner fleet(mixed_specs(), s.net, s.weights, options(/*pcus=*/4));
-  runtime::RequestQueue queue;
-  queue.close();
-  EXPECT_THROW(fleet.pool().serve_all(queue, 0, false), Error);
+// Functional serving follows the deterministic virtual-time assignment on
+// every fleet: which PCU produced each output is reproducible, and so are
+// the output bits. On a mixed fleet the device model differs per PCU; on
+// a homogeneous fleet host thread timing must not pick the PCU either,
+// through both the closed batch and the open loop.
+TEST(HeteroFleet, FunctionalServingFollowsTheVirtualSchedule) {
+  const Served s = make_served(16);
+  const ArrivalSchedule arrivals =
+      runtime::poisson_arrivals(s.inputs.size(), 1500.0, 7);
+
+  BatchRunnerOptions o = options(/*pcus=*/4);
+  o.dispatch = DispatchPolicy::kLeastLoaded;
+  expect_serving_follows_schedule(4, 2, "mixed open loop", [&] {
+    BatchRunner fleet(mixed_specs(), s.net, s.weights, o);
+    OpenLoopReport r;
+    ServedRun out{fleet.run_open_loop(s.inputs, arrivals, &r), {}};
+    out.virtual_per_pcu = r.virtual_requests_per_pcu;
+    return out;
+  });
+
+  BatchRunner homogeneous(PcnnaConfig::paper_defaults(), s.net, s.weights,
+                          options(/*pcus=*/4));
+  expect_serving_follows_schedule(4, 5, "homogeneous closed batch", [&] {
+    FleetReport r;
+    ServedRun out{homogeneous.run(s.inputs, &r), {}};
+    out.virtual_per_pcu = r.virtual_requests_per_pcu;
+    return out;
+  });
+  expect_serving_follows_schedule(4, 5, "homogeneous open loop", [&] {
+    OpenLoopReport r;
+    ServedRun out{homogeneous.run_open_loop(s.inputs, arrivals, &r), {}};
+    out.virtual_per_pcu = r.virtual_requests_per_pcu;
+    return out;
+  });
 }
 
 // The printed report surfaces the new fleet columns.

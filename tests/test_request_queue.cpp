@@ -1,8 +1,8 @@
-// RequestQueue: FIFO order, shutdown semantics, concurrent draining, and
-// per-request seed derivation.
+// RequestQueue: FIFO order, shutdown semantics, thread-safe draining, the
+// virtual-time interface, and per-request seed derivation.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +18,8 @@ using runtime::derive_request_seed;
 using runtime::InferenceRequest;
 using runtime::RequestQueue;
 
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
 InferenceRequest make_request(std::uint64_t id) {
   InferenceRequest r;
   r.id = id;
@@ -32,7 +34,7 @@ TEST(RequestQueue, PopsInFifoOrder) {
 
   InferenceRequest out;
   for (std::uint64_t id = 0; id < 5; ++id) {
-    ASSERT_TRUE(q.pop(out));
+    ASSERT_TRUE(q.pop_arrived(kForever, out));
     EXPECT_EQ(id, out.id);
   }
   EXPECT_EQ(0u, q.size());
@@ -46,9 +48,10 @@ TEST(RequestQueue, CloseDrainsThenExhausts) {
   EXPECT_TRUE(q.closed());
 
   InferenceRequest out;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_FALSE(q.pop(out)) << "closed and empty must report exhaustion";
+  EXPECT_TRUE(q.pop_arrived(kForever, out));
+  EXPECT_TRUE(q.pop_arrived(kForever, out));
+  EXPECT_FALSE(q.pop_arrived(kForever, out))
+      << "closed and empty must report exhaustion";
 }
 
 TEST(RequestQueue, PushAfterCloseThrows) {
@@ -57,29 +60,8 @@ TEST(RequestQueue, PushAfterCloseThrows) {
   EXPECT_THROW(q.push(make_request(0)), Error);
 }
 
-TEST(RequestQueue, TryPopDoesNotBlock) {
-  RequestQueue q;
-  InferenceRequest out;
-  EXPECT_FALSE(q.try_pop(out));
-  q.push(make_request(3));
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(3u, out.id);
-  EXPECT_FALSE(q.try_pop(out));
-}
-
-TEST(RequestQueue, CloseWakesBlockedConsumer) {
-  RequestQueue q;
-  std::atomic<bool> returned{false};
-  std::thread consumer([&] {
-    InferenceRequest out;
-    EXPECT_FALSE(q.pop(out));
-    returned = true;
-  });
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(returned);
-}
-
+// Every member takes the internal mutex: consumers on several threads
+// split the stream between them without losing or duplicating a request.
 TEST(RequestQueue, ConcurrentConsumersPartitionTheStream) {
   constexpr std::uint64_t kRequests = 200;
   constexpr int kConsumers = 4;
@@ -93,7 +75,7 @@ TEST(RequestQueue, ConcurrentConsumersPartitionTheStream) {
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&, c] {
       InferenceRequest out;
-      while (q.pop(out)) seen[c].push_back(out.id);
+      while (q.pop_arrived(kForever, out)) seen[c].push_back(out.id);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -188,7 +170,7 @@ TEST(RequestQueue, OrderingPersistsAcrossPops) {
   r.arrival_time = 5e-3;
   q.push(std::move(r));
   InferenceRequest out;
-  ASSERT_TRUE(q.try_pop(out));
+  ASSERT_TRUE(q.pop_arrived(kForever, out));
 
   InferenceRequest late = make_request(1);
   late.arrival_time = 1e-3;

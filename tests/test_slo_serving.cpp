@@ -13,8 +13,9 @@
 //    sequential reference (a shed neighbor never changes anyone's bits);
 //  * the autoscaler grows on backlog, shrinks after idle, and charges the
 //    cold-start warmup on every (re)activation regardless of WarmupPolicy;
-//  * serve_all surfaces a worker's original exception, not the secondary
-//    "never served" check.
+//  * PcuPool::serve surfaces a worker's own exception, leaves ids the
+//    schedule skips as placeholders, and rejects malformed inputs
+//    (duplicate schedule ids, non-dense request ids).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -484,49 +486,58 @@ TEST(SloServing, EdfWithSheddingHoldsInteractiveSloWhereFifoCollapses) {
   EXPECT_GT(edf_inter.slo_attainment, fifo_inter.slo_attainment);
 }
 
-// --- serve_all error path (satellite) ---
+// --- PcuPool::serve: error path and malformed inputs ---
 
-TEST(ServeAll, WorkerErrorSurfacesOriginalExceptionNotNeverServed) {
+/// Request `id` of `s` with the runner's per-request seed.
+InferenceRequest serve_request(const Served& s, std::uint64_t id) {
+  InferenceRequest r;
+  r.id = id;
+  r.seed = runtime::derive_request_seed(123, id);
+  r.input = s.inputs[id];
+  return r;
+}
+
+/// One whole-request schedule entry per id, round-robin over `pcus`.
+std::vector<ScheduledService> round_robin(std::size_t requests,
+                                          std::size_t pcus) {
+  std::vector<ScheduledService> schedule(requests);
+  for (std::size_t id = 0; id < requests; ++id) {
+    schedule[id].id = id;
+    schedule[id].pcu = id % pcus;
+    schedule[id].start = static_cast<double>(id / pcus);
+  }
+  return schedule;
+}
+
+TEST(ServeScheduled, WorkerErrorSurfacesTheWorkersOwnException) {
   const Served s = make_served(4);
   BatchRunner runner(PcnnaConfig::paper_defaults(), s.net, s.weights,
                      options(2));
-  RequestQueue queue;
+  std::vector<InferenceRequest> requests;
   for (std::uint64_t id = 0; id < 4; ++id) {
-    InferenceRequest r;
-    r.id = id;
-    r.seed = runtime::derive_request_seed(123, id);
+    requests.push_back(serve_request(s, id));
     // Request 2 carries a shape-mismatched (empty) input: its worker
     // throws mid-batch.
-    if (id != 2) r.input = s.inputs[id];
-    queue.push(std::move(r));
+    if (id == 2) requests.back().input = nn::Tensor{};
   }
-  queue.close();
 
   bool threw = false;
   try {
-    runner.pool().serve_all(queue, 4, /*simulate_values=*/true);
+    runner.pool().serve(std::move(requests), round_robin(4, 2),
+                        /*simulate_values=*/true);
   } catch (const Error& e) {
     threw = true;
-    EXPECT_EQ(std::string::npos, std::string(e.what()).find("never served"))
-        << "the original worker exception must win over the secondary "
-           "completeness check";
+    EXPECT_NE(std::string::npos,
+              std::string(e.what()).find("input does not match"))
+        << "the worker's own exception must surface, got: " << e.what();
   }
   EXPECT_TRUE(threw);
 }
-
-// --- serve_scheduled subset schedules ---
 
 TEST(ServeScheduled, SubsetScheduleLeavesPlaceholdersAndRejectsDuplicates) {
   const Served s = make_served(3);
   BatchRunner runner(PcnnaConfig::paper_defaults(), s.net, s.weights,
                      options(1));
-  const auto request_for = [&](std::uint64_t id) {
-    InferenceRequest r;
-    r.id = id;
-    r.seed = runtime::derive_request_seed(123, id);
-    r.input = s.inputs[id];
-    return r;
-  };
 
   // Schedule names only ids 0 and 2: id 1 must come back untouched.
   std::vector<ScheduledService> schedule(2);
@@ -534,8 +545,8 @@ TEST(ServeScheduled, SubsetScheduleLeavesPlaceholdersAndRejectsDuplicates) {
   schedule[1].id = 2;
   std::vector<InferenceRequest> requests;
   for (std::uint64_t id = 0; id < 3; ++id)
-    requests.push_back(request_for(id));
-  const std::vector<RequestResult> out = runner.pool().serve_scheduled(
+    requests.push_back(serve_request(s, id));
+  const std::vector<RequestResult> out = runner.pool().serve(
       std::move(requests), schedule, /*simulate_values=*/true);
   ASSERT_EQ(3u, out.size());
   EXPECT_FALSE(out[0].output.empty());
@@ -548,9 +559,33 @@ TEST(ServeScheduled, SubsetScheduleLeavesPlaceholdersAndRejectsDuplicates) {
   dup[0].id = 0;
   dup[1].id = 0;
   std::vector<InferenceRequest> again;
-  for (std::uint64_t id = 0; id < 3; ++id) again.push_back(request_for(id));
-  EXPECT_THROW(
-      runner.pool().serve_scheduled(std::move(again), dup, true), Error);
+  for (std::uint64_t id = 0; id < 3; ++id)
+    again.push_back(serve_request(s, id));
+  EXPECT_THROW(runner.pool().serve(std::move(again), dup, true), Error);
+}
+
+// Result slots are labelled by position, so a request vector whose ids are
+// not 0..n-1 would come back mislabelled: it must be rejected, naming the
+// offending index.
+TEST(ServeScheduled, RejectsNonDenseRequestIds) {
+  const Served s = make_served(3);
+  BatchRunner runner(PcnnaConfig::paper_defaults(), s.net, s.weights,
+                     options(2));
+  std::vector<InferenceRequest> requests;
+  for (std::uint64_t id = 0; id < 3; ++id)
+    requests.push_back(serve_request(s, id));
+  std::swap(requests[1], requests[2]); // ids now 0, 2, 1
+
+  bool threw = false;
+  try {
+    runner.pool().serve(std::move(requests), round_robin(3, 2), true);
+  } catch (const Error& e) {
+    threw = true;
+    EXPECT_NE(std::string::npos,
+              std::string(e.what()).find("requests[1] has id 2"))
+        << e.what();
+  }
+  EXPECT_TRUE(threw);
 }
 
 // --- Report plumbing ---
