@@ -13,10 +13,13 @@
 //  * randomized property sweep: for every dispatch policy x seed x fault
 //    schedule, admission conserves requests (offered == served + shed +
 //    lost), virtual time is monotone on the event-driven path, and no two
-//    services — including pipeline stage spans — overlap on one PCU.
+//    services — including pipeline stage spans — overlap on one PCU;
+//  * golden FIFO schedules: the commit-at-arrival policies reproduce
+//    pinned schedule digests on a homogeneous and a mixed fleet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -635,6 +638,89 @@ TEST(AdmissionInvariants, PipelineScheduleBitIdenticalAcrossEngineThreads) {
   ASSERT_GT(a.pipeline.pipelined_requests, 0u);
   expect_bit_identical(a, b);
   check_admission_invariants(a, 400, 4, /*event_driven=*/true);
+}
+
+// --- Golden FIFO schedules ---
+//
+// The FIFO policies commit each request at its arrival. Their schedules
+// are pinned bit for bit by an FNV-1a digest over every entry's id, PCU,
+// and the bit patterns of start, completion, warmup and swap, so any
+// restructuring of the admission loop must reproduce them exactly.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::uint64_t schedule_digest(const AdmissionResult& r) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const ScheduledService& s : r.schedule) {
+    h = fnv1a(h, s.id);
+    h = fnv1a(h, s.pcu);
+    for (const double v : {s.start, s.completion, s.warmup, s.swap})
+      h = fnv1a(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+/// 2000 Poisson arrivals at 0.9x the pool's steady-state capacity.
+std::vector<InferenceRequest> fifo_stream(const PcuPool& pool) {
+  double capacity = 0.0;
+  for (std::size_t p = 0; p < pool.size(); ++p)
+    capacity += 1.0 / pool.pcu(p).request_interval_overlapped(0);
+  const ArrivalSchedule arrivals =
+      runtime::poisson_arrivals(2000, 0.9 * capacity, 1);
+  std::vector<InferenceRequest> requests(arrivals.size());
+  for (std::size_t id = 0; id < arrivals.size(); ++id) {
+    requests[id].id = id;
+    requests[id].arrival_time = arrivals[id];
+  }
+  return requests;
+}
+
+TEST(FifoGolden, SchedulesMatchPinnedDigests) {
+  const TwoModels t = make_two_models();
+  PcuPool homogeneous(8, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                      t.net, t.weights_a);
+  PcuSpec big;
+  big.config = PcnnaConfig::paper_defaults();
+  PcuSpec small;
+  small.config = PcnnaConfig::small_core();
+  PcuPool mixed({big, big, small, small}, TimingFidelity::kFull, t.net,
+                t.weights_a);
+
+  struct Case {
+    const char* fleet;
+    PcuPool* pool;
+    DispatchPolicy policy;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"8 homogeneous", &homogeneous,
+       DispatchPolicy::kEarliestFree, 0x768F29E537FFA7F8ull},
+      {"8 homogeneous", &homogeneous,
+       DispatchPolicy::kLeastLoaded, 0xAED005D81C8327F9ull},
+      {"8 homogeneous", &homogeneous,
+       DispatchPolicy::kCapabilityAware, 0xAED005D81C8327F9ull},
+      {"2 big + 2 small", &mixed,
+       DispatchPolicy::kEarliestFree, 0x8B7CB80A4167D9D4ull},
+      {"2 big + 2 small", &mixed,
+       DispatchPolicy::kLeastLoaded, 0x1C0FE6D6D385EAD8ull},
+      {"2 big + 2 small", &mixed,
+       DispatchPolicy::kCapabilityAware, 0x0BE4EDAFF1FDDB83ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.fleet) + " " +
+                 runtime::dispatch_policy_name(c.policy));
+    AdmissionOptions o;
+    o.policy = c.policy;
+    const AdmissionResult r = admit(*c.pool, fifo_stream(*c.pool), o);
+    ASSERT_EQ(2000u, r.schedule.size());
+    EXPECT_EQ(c.digest, schedule_digest(r));
+  }
 }
 
 } // namespace
