@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
     if (step == 12) p99_high = r.latency.p99;
 
     double util_sum = 0.0;
-    for (double u : r.utilization_per_pcu) util_sum += u;
+    for (const runtime::PcuBreakdown& b : r.per_pcu) util_sum += b.utilization;
     const double util_mean = util_sum / static_cast<double>(kPcus);
 
     sink.row({format_fixed(load, 1) + " x",
@@ -177,7 +177,12 @@ int main(int argc, char** argv) {
       if (again.makespan != r.makespan || again.latency.p99 != r.latency.p99 ||
           again.latency.p999 != r.latency.p999 ||
           again.mean_queue_depth != r.mean_queue_depth ||
-          again.utilization_per_pcu != r.utilization_per_pcu) {
+          !std::equal(again.per_pcu.begin(), again.per_pcu.end(),
+                      r.per_pcu.begin(), r.per_pcu.end(),
+                      [](const runtime::PcuBreakdown& x,
+                         const runtime::PcuBreakdown& y) {
+                        return x.utilization == y.utilization;
+                      })) {
         std::cout << "FAIL: re-simulated load point is not bit-identical\n";
         ok = false;
       }

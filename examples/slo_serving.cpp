@@ -146,7 +146,7 @@ int main() {
 
     runtime::OpenLoopReport burst_report;
     const auto results =
-        shedder.run_open_loop(inputs, burst, burst_slos, &burst_report);
+        shedder.run_open_loop(inputs, burst, &burst_report, burst_slos);
 
     runtime::BatchRunnerOptions ref_opts = fopts;
     ref_opts.shed_expired = false;

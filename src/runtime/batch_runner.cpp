@@ -51,25 +51,46 @@ BatchRunner::BatchRunner(std::vector<PcuSpec> specs, nn::Network net,
 }
 
 std::vector<InferenceRequest> BatchRunner::make_requests(
-    const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
+    const std::vector<nn::Tensor>* inputs, const ArrivalSchedule& arrivals,
     const SloSchedule& slos, const ModelSchedule& models) const {
-  std::vector<InferenceRequest> requests;
-  requests.reserve(inputs.size());
-  for (std::size_t id = 0; id < inputs.size(); ++id) {
-    InferenceRequest request;
+  PCNNA_CHECK_MSG(inputs == nullptr || inputs->size() == arrivals.size(),
+                  "open loop needs one arrival per input: "
+                      << arrivals.size() << " arrivals for "
+                      << inputs->size() << " inputs");
+  PCNNA_CHECK_MSG(slos.empty() || slos.size() == arrivals.size(),
+                  "SLO schedule covers " << slos.size() << " requests but "
+                                         << arrivals.size() << " arrive");
+  PCNNA_CHECK_MSG(models.empty() || models.size() == arrivals.size(),
+                  "model schedule covers " << models.size() << " requests but "
+                                           << arrivals.size() << " arrive");
+  validate_arrival_schedule(arrivals);
+
+  std::vector<InferenceRequest> requests(arrivals.size());
+  for (std::size_t id = 0; id < arrivals.size(); ++id) {
+    InferenceRequest& request = requests[id];
     request.id = id;
     request.seed = derive_request_seed(options_.seed, id);
-    request.arrival_time = arrivals.empty() ? 0.0 : arrivals[id];
+    request.arrival_time = arrivals[id];
     if (!slos.empty()) {
       request.tenant = slos[id].tenant;
       request.priority = slos[id].priority;
       request.deadline = slos[id].deadline;
     }
     if (!models.empty()) request.model_id = models[id];
-    request.input = inputs[id];
-    requests.push_back(std::move(request));
+    if (inputs != nullptr) request.input = (*inputs)[id];
   }
   return requests;
+}
+
+AdmissionOptions BatchRunner::admission_options() const {
+  AdmissionOptions admission;
+  admission.double_buffer = options_.double_buffer;
+  admission.policy = options_.dispatch;
+  admission.shed_expired = options_.shed_expired;
+  admission.autoscaler = options_.autoscaler;
+  admission.faults = options_.faults;
+  admission.telemetry = options_.telemetry;
+  return admission;
 }
 
 std::uint32_t BatchRunner::register_model(nn::Network net,
@@ -87,14 +108,15 @@ std::vector<RequestResult> BatchRunner::run(
   // degenerate all-at-t=0 arrival process, so the same admission loop
   // that prices open-loop serving prices it — and assigns every request
   // its PCU.
+  std::vector<InferenceRequest> requests =
+      make_requests(&inputs, closed_batch_arrivals(batch), {}, {});
   const AdmissionResult admission =
-      simulate_admission_result(closed_batch_arrivals(batch), {}, {});
+      pool_.simulate_admission(requests, admission_options());
   const std::vector<ScheduledService>& schedule = admission.schedule;
 
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<RequestResult> results =
-      pool_.serve(make_requests(inputs, {}, {}, {}), schedule,
-                  options_.simulate_values);
+  std::vector<RequestResult> results = pool_.serve(
+      std::move(requests), schedule, options_.simulate_values);
   const auto wall_end = std::chrono::steady_clock::now();
   for (const RequestLoss& l : admission.fault.losses)
     results[static_cast<std::size_t>(l.id)].failed = true;
@@ -123,9 +145,6 @@ std::vector<RequestResult> BatchRunner::run(
       r.max_latency = std::max(r.max_latency, s.completion);
     }
     r.makespan = fill_breakdowns(schedule, r.per_pcu);
-    r.virtual_requests_per_pcu.resize(r.pcus);
-    for (std::size_t p = 0; p < r.pcus; ++p)
-      r.virtual_requests_per_pcu[p] = r.per_pcu[p].requests;
     r.makespan_sequential =
         static_cast<double>(batch) * r.request_time_serial;
     r.throughput_rps =
@@ -148,32 +167,10 @@ std::vector<RequestResult> BatchRunner::run(
 
 std::vector<RequestResult> BatchRunner::run_open_loop(
     const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-    OpenLoopReport* report) {
-  return run_open_loop(inputs, arrivals, SloSchedule{}, report);
-}
-
-std::vector<RequestResult> BatchRunner::run_open_loop(
-    const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-    const SloSchedule& slos, OpenLoopReport* report) {
-  return run_open_loop(inputs, arrivals, slos, ModelSchedule{}, report);
-}
-
-std::vector<RequestResult> BatchRunner::run_open_loop(
-    const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-    const SloSchedule& slos, const ModelSchedule& models,
-    OpenLoopReport* report) {
-  PCNNA_CHECK_MSG(arrivals.size() == inputs.size(),
-                  "open loop needs one arrival per input: "
-                      << arrivals.size() << " arrivals for " << inputs.size()
-                      << " inputs");
-  PCNNA_CHECK_MSG(slos.empty() || slos.size() == arrivals.size(),
-                  "SLO schedule covers " << slos.size() << " requests but "
-                                         << arrivals.size() << " arrive");
-  PCNNA_CHECK_MSG(models.empty() || models.size() == arrivals.size(),
-                  "model schedule covers " << models.size() << " requests but "
-                                           << arrivals.size() << " arrive");
-  validate_arrival_schedule(arrivals);
-
+    OpenLoopReport* report, const SloSchedule& slos,
+    const ModelSchedule& models) {
+  std::vector<InferenceRequest> requests =
+      make_requests(&inputs, arrivals, slos, models);
   // Arrival times shape only the virtual-time schedule, never the
   // per-request seeds: each request runs on the PCU the schedule assigned
   // it, so on a homogeneous fleet the outputs stay bit-identical to
@@ -181,13 +178,12 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
   // schedule also decides which requests run at all (shed and fault-lost
   // ids stay placeholders).
   const AdmissionResult admission =
-      simulate_admission_result(arrivals, slos, models);
+      pool_.simulate_admission(requests, admission_options());
 
   const std::size_t batch = inputs.size();
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<RequestResult> results =
-      pool_.serve(make_requests(inputs, arrivals, slos, models),
-                  admission.schedule, options_.simulate_values);
+  std::vector<RequestResult> results = pool_.serve(
+      std::move(requests), admission.schedule, options_.simulate_values);
   const auto wall_end = std::chrono::steady_clock::now();
   for (const ShedDecision& d : admission.shed.decisions)
     results[static_cast<std::size_t>(d.id)].shed = true;
@@ -213,15 +209,8 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                                                const SloSchedule& slos,
                                                const ModelSchedule& models) {
-  PCNNA_CHECK_MSG(slos.empty() || slos.size() == arrivals.size(),
-                  "SLO schedule covers " << slos.size() << " requests but "
-                                         << arrivals.size() << " arrive");
-  PCNNA_CHECK_MSG(models.empty() || models.size() == arrivals.size(),
-                  "model schedule covers " << models.size() << " requests but "
-                                           << arrivals.size() << " arrive");
-  validate_arrival_schedule(arrivals);
-  const AdmissionResult admission =
-      simulate_admission_result(arrivals, slos, models);
+  const AdmissionResult admission = pool_.simulate_admission(
+      make_requests(nullptr, arrivals, slos, models), admission_options());
   OpenLoopReport r = summarize_schedule(admission, arrivals);
   // Timing-only energy: the per-request analytical total of the PCU each
   // request was dispatched to, which the functional path reproduces
@@ -234,35 +223,6 @@ OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                                    static_cast<double>(r.requests);
   if (options_.telemetry) options_.telemetry->record_report(r);
   return r;
-}
-
-AdmissionResult BatchRunner::simulate_admission_result(
-    const ArrivalSchedule& arrivals, const SloSchedule& slos,
-    const ModelSchedule& models) {
-  // Lightweight replay stream: the admission loop needs only ids, arrival
-  // timestamps, and SLO/model metadata, so the tensors stay behind.
-  RequestQueue queue;
-  for (std::size_t id = 0; id < arrivals.size(); ++id) {
-    InferenceRequest request;
-    request.id = id;
-    request.arrival_time = arrivals[id];
-    if (!slos.empty()) {
-      request.tenant = slos[id].tenant;
-      request.priority = slos[id].priority;
-      request.deadline = slos[id].deadline;
-    }
-    if (!models.empty()) request.model_id = models[id];
-    queue.push(std::move(request));
-  }
-  queue.close();
-  AdmissionOptions admission;
-  admission.double_buffer = options_.double_buffer;
-  admission.policy = options_.dispatch;
-  admission.shed_expired = options_.shed_expired;
-  admission.autoscaler = options_.autoscaler;
-  admission.faults = options_.faults;
-  admission.telemetry = options_.telemetry;
-  return pool_.simulate_admission(queue, admission);
 }
 
 double BatchRunner::fill_breakdowns(
@@ -380,13 +340,9 @@ OpenLoopReport BatchRunner::summarize_schedule(
     r.per_pcu[p].lost_attempts = admission.fault.per_pcu[p].lost_attempts;
     r.per_pcu[p].lost_time = admission.fault.per_pcu[p].lost_time;
   }
-  r.virtual_requests_per_pcu.resize(r.pcus);
-  r.utilization_per_pcu.resize(r.pcus);
-  for (std::size_t p = 0; p < r.pcus; ++p) {
-    r.virtual_requests_per_pcu[p] = r.per_pcu[p].requests;
-    r.utilization_per_pcu[p] = r.per_pcu[p].utilization;
-    r.model_swaps += r.per_pcu[p].swaps;
-    r.model_swap_time += r.per_pcu[p].swap_time;
+  for (const PcuBreakdown& b : r.per_pcu) {
+    r.model_swaps += b.swaps;
+    r.model_swap_time += b.swap_time;
   }
 
   if (r.makespan > 0.0) {

@@ -181,9 +181,6 @@ struct FleetReport {
   /// Per-PCU schedule breakdown (requests, busy/warmup time, utilization,
   /// tag), aligned with PCU indices.
   std::vector<PcuBreakdown> per_pcu;
-  /// Requests each virtual PCU served in the deterministic schedule
-  /// (per_pcu[p].requests; kept as a flat vector for existing callers).
-  std::vector<std::size_t> virtual_requests_per_pcu;
 
   /// Host seconds spent actually simulating the batch (informational; on a
   /// multi-core host this is where N worker threads pay off).
@@ -246,12 +243,6 @@ struct OpenLoopReport {
   /// Per-PCU schedule breakdown (requests, busy/warmup time, utilization,
   /// tag), aligned with PCU indices.
   std::vector<PcuBreakdown> per_pcu;
-  /// Per-PCU busy fraction: simulated busy time / makespan, in [0, 1]
-  /// (per_pcu[p].utilization; kept as a flat vector for existing callers).
-  std::vector<double> utilization_per_pcu;
-  /// Requests each virtual PCU served in the deterministic schedule
-  /// (per_pcu[p].requests; kept as a flat vector for existing callers).
-  std::vector<std::size_t> virtual_requests_per_pcu;
 
   double total_energy = 0.0;       ///< [J]
   double energy_per_request = 0.0; ///< [J]
@@ -379,29 +370,19 @@ class BatchRunner {
   /// shape only the virtual-time schedule the OpenLoopReport summarizes.
   /// On a heterogeneous fleet they can legitimately differ between
   /// dispatch policies (a different PCU is a different chip).
+  ///
+  /// `slos` gives request i a tenant, priority class, and absolute
+  /// deadline (runtime::assign_tenants builds one from a TenantClass mix;
+  /// empty = no SLO metadata). With options().shed_expired the admission
+  /// loop may reject requests — those come back as id-only placeholders
+  /// with RequestResult::shed set, and the report carries shed counts and
+  /// per-tenant SLO attainment. `models` names the registered model
+  /// request i targets (empty = the primary model; every id must be <
+  /// num_models(), and each input must match its model's input shape).
   std::vector<RequestResult> run_open_loop(
       const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-      OpenLoopReport* report = nullptr);
-
-  /// SLO-aware open loop: like run_open_loop, with request i additionally
-  /// carrying slos[i]'s tenant, priority class, and absolute deadline
-  /// (runtime::assign_tenants builds an SloSchedule from a TenantClass
-  /// mix; an empty `slos` means no SLO metadata). With
-  /// options().shed_expired the admission loop may reject requests — those
-  /// come back as id-only placeholders with RequestResult::shed set, and
-  /// the report carries shed counts and per-tenant SLO attainment.
-  std::vector<RequestResult> run_open_loop(
-      const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-      const SloSchedule& slos, OpenLoopReport* report);
-
-  /// Multi-model open loop: request i additionally targets registered
-  /// model models[i] (an empty `models` means everything runs the primary
-  /// model; every id must be < num_models(), and each input must match
-  /// its model's input shape).
-  std::vector<RequestResult> run_open_loop(
-      const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-      const SloSchedule& slos, const ModelSchedule& models,
-      OpenLoopReport* report);
+      OpenLoopReport* report = nullptr, const SloSchedule& slos = {},
+      const ModelSchedule& models = {});
 
   /// Timing-only open loop: simulate the admission schedule for `arrivals`
   /// and return its report without running any functional inference
@@ -426,18 +407,17 @@ class BatchRunner {
                            const std::string& title = "open-loop serving");
 
  private:
-  /// Timing-only admission-loop run for requests 0..arrivals.size()-1
-  /// (no tensors, no functional work), under options_'s dispatch,
-  /// shedding, and autoscaler settings.
-  AdmissionResult simulate_admission_result(const ArrivalSchedule& arrivals,
-                                            const SloSchedule& slos,
-                                            const ModelSchedule& models);
-
-  /// Build the dense request vector (ids, SplitMix64 seeds, arrivals, SLO
-  /// metadata, model targets, inputs) the serving paths share.
+  /// Validate the schedules and build the dense request vector (ids,
+  /// SplitMix64 seeds, arrivals, SLO metadata, model targets) every entry
+  /// point shares. `inputs` null means timing-only: the requests carry
+  /// empty tensors; otherwise there must be one input per arrival.
   std::vector<InferenceRequest> make_requests(
-      const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
+      const std::vector<nn::Tensor>* inputs, const ArrivalSchedule& arrivals,
       const SloSchedule& slos, const ModelSchedule& models) const;
+
+  /// options_'s dispatch, shedding, autoscaler, fault, and telemetry
+  /// settings as admission-loop options.
+  AdmissionOptions admission_options() const;
 
   /// Derive every schedule-dependent OpenLoopReport field.
   OpenLoopReport summarize_schedule(const AdmissionResult& admission,

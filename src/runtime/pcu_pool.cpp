@@ -393,10 +393,29 @@ enum class TimerKind : unsigned char {
 
 } // namespace
 
-AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
-                                            const AdmissionOptions& options) {
-  PCNNA_CHECK_MSG(queue.closed(),
-                  "simulate_admission needs a closed request stream");
+AdmissionResult PcuPool::simulate_admission(
+    const std::vector<InferenceRequest>& requests,
+    const AdmissionOptions& options) {
+  // The loop walks `requests` with one cursor and peeks the next element
+  // as the earliest pending arrival, so an unsorted trace must be rejected
+  // here rather than silently corrupt the schedule.
+  double last_arrival = 0.0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const InferenceRequest& r = requests[i];
+    PCNNA_CHECK_MSG(
+        r.arrival_time >= last_arrival,
+        "out-of-order arrival: request " << i << " (id " << r.id
+            << ") arrives at t=" << r.arrival_time
+            << " but an earlier request arrives at t=" << last_arrival
+            << " — virtual-time admission needs nondecreasing "
+               "arrival_time (sort the trace)");
+    last_arrival = r.arrival_time;
+    PCNNA_CHECK_MSG(r.model_id < min_split_passes_.size(),
+                    "request " << i << " (id " << r.id << ") targets model "
+                               << r.model_id << " but only "
+                               << min_split_passes_.size()
+                               << " models are registered");
+  }
   const bool double_buffer = options.double_buffer;
   const DispatchPolicy policy = options.policy;
   // Opt-in observability. Strictly read-only hooks: telemetry never feeds
@@ -740,71 +759,42 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
     return false;
   };
 
-  const auto check_model = [&](const InferenceRequest& request) {
-    PCNNA_CHECK_MSG(request.model_id < min_split_passes_.size(),
-                    "request " << request.id << " targets model "
-                               << request.model_id << " but only "
-                               << min_split_passes_.size()
-                               << " models are registered");
-  };
-
+  // FIFO policies without shedding, autoscaler or faults commit each
+  // request at its arrival: their scores depend only on the deterministic
+  // per-PCU free times, so a later arrival can never change an earlier
+  // commitment. Everything else defers commitments to the moment a PCU
+  // frees (see below).
   const bool deferred = policy == DispatchPolicy::kEdf ||
                         policy == DispatchPolicy::kModelAffinity ||
                         policy == DispatchPolicy::kPipeline ||
                         options.shed_expired || scaler.enabled ||
                         fault_active;
 
-  if (!deferred) {
-    // Eager mode — the pre-SLO code path, kept bit-identical. Dispatching
-    // at admission is exact for a FIFO stream: every policy scores
-    // candidates from the deterministic free times alone, not from when
-    // the decision is made.
-    const auto pick_pcu = [&](double arrival,
-                              std::uint32_t model) -> std::size_t {
-      if (policy == DispatchPolicy::kEarliestFree) {
-        return static_cast<std::size_t>(
-            std::min_element(free_at.begin(), free_at.end()) -
-            free_at.begin());
-      }
-      // kLeastLoaded / kCapabilityAware: earliest predicted (model-blind)
-      // completion, the latter restricted to PCUs that map the request's
-      // model with the fleet-minimum number of segmented bank passes (no
-      // extra splits).
-      std::size_t best = pcus_.size();
-      double best_completion = std::numeric_limits<double>::infinity();
-      for (std::size_t p = 0; p < pcus_.size(); ++p) {
-        if (!capable(p, model)) continue;
-        const double start = std::max(arrival, free_at[p]);
-        const double completion = start + blind_service(p, model, start);
-        if (completion < best_completion) {
-          best_completion = completion;
-          best = p;
-        }
-      }
-      return best; // the capable set is never empty: the minimum is attained
-    };
-
-    double now = 0.0;
-    double next = 0.0;
-    InferenceRequest request;
-    while (queue.next_arrival(next)) {
-      now = std::max(now, next);
-      while (queue.pop_arrived(now, request)) {
-        check_model(request);
-        const std::size_t p = pick_pcu(request.arrival_time,
-                                       request.model_id);
-        const double start = std::max(request.arrival_time, free_at[p]);
-        dispatch({request.id, request.arrival_time, request.tenant,
-                  request.priority, request.deadline, request.model_id},
-                 p, start);
+  // FIFO-policy choice for a model-m request at time t among the PCUs
+  // `elig` admits: kEarliestFree takes the longest-free PCU, the others
+  // the earliest predicted (model-blind) completion; ties go to the lowest
+  // index. Deferred, only PCUs already free at t compete; a commit at
+  // arrival also weighs busy PCUs, starting when they free.
+  const auto pick_fifo = [&](std::uint32_t m, double t, const auto& elig) {
+    std::size_t best = pcus_.size();
+    double best_score = std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < pcus_.size(); ++p) {
+      if (deferred && free_at[p] > t) continue;
+      const double start = std::max(t, free_at[p]);
+      const double score = policy == DispatchPolicy::kEarliestFree
+                               ? free_at[p]
+                               : start + blind_service(p, m, start);
+      // Eligibility last: it only matters for a candidate that would win,
+      // and skipping it elsewhere keeps the full-fleet scan tight.
+      if (score < best_score && elig(p)) {
+        best_score = score;
+        best = p;
       }
     }
-    result.autoscaler.mean_active = static_cast<double>(pcus_.size());
-    if (telemetry) telemetry->record_admission(result, *this, options);
-    return result;
-  }
+    return best;
+  };
 
-  // Event-driven mode: arrived requests wait in `pending` and every
+  // Deferred commitments: arrived requests wait in `pending` and every
   // commitment is deferred to the moment an eligible PCU actually frees.
   // Necessary because (a) EDF lets a later tighter-deadline arrival
   // overtake queued work, (b) shedding is decided from the fleet state at
@@ -1067,9 +1057,9 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
     }
   };
 
-  // Every clock advance of the event-driven loop goes through here so
-  // faults strike in order, at their own timestamps, before the loop acts
-  // at `t`. Identical to advance_to when no faults are injected.
+  // Every clock advance of the loop goes through here so faults strike in
+  // order, at their own timestamps, before the loop acts at `t`. Identical
+  // to advance_to when no faults are injected.
   const auto step_to = [&](double t) {
     if (fault_active) process_events_to(t);
     advance_to(t);
@@ -1170,7 +1160,15 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
     }
   };
 
-  InferenceRequest request;
+  // The next request not yet admitted, and its arrival (+inf once the
+  // stream is exhausted).
+  std::size_t cursor = 0;
+  const auto next_arrival = [&]() -> double {
+    return cursor < requests.size()
+               ? requests[cursor].arrival_time
+               : std::numeric_limits<double>::infinity();
+  };
+
   while (true) {
     // Re-enqueue retries whose backoff has expired: they re-enter the
     // pending set with their original arrival (and id, hence seed) and
@@ -1182,18 +1180,24 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
       }
     }
 
-    // Admit everything that has arrived by `now` into the pending set.
-    while (queue.pop_arrived(now, request)) {
-      check_model(request);
-      pending.insert({request.id, request.arrival_time, request.tenant,
-                      request.priority, request.deadline,
-                      request.model_id});
+    // Admit everything that has arrived by `now`: into the pending set, or
+    // straight onto a PCU when commitments are not deferred.
+    for (; next_arrival() <= now; ++cursor) {
+      const InferenceRequest& q = requests[cursor];
+      const PendingRequest r{q.id,       q.arrival_time, q.tenant,
+                             q.priority, q.deadline,     q.model_id};
+      if (deferred) {
+        pending.insert(r);
+        continue;
+      }
+      const std::size_t p =
+          pick_fifo(r.model, r.arrival,
+                    [&](std::size_t c) { return capable(c, r.model); });
+      dispatch(r, p, std::max(r.arrival, free_at[p]));
     }
 
     if (pending.empty()) {
-      double next = std::numeric_limits<double>::infinity();
-      double na = 0.0;
-      if (queue.next_arrival(na)) next = na;
+      double next = next_arrival();
       if (fault_active) {
         if (!retries.empty()) next = std::min(next, retries.begin()->ready);
         // Faults can still destroy work in flight: process health events
@@ -1238,9 +1242,7 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
       // The whole fleet is dead or quarantined. Wait for whatever event
       // can change that (a repair, a recovery, more arrivals); if nothing
       // ever will, everything still waiting is permanently lost.
-      double next_event = std::numeric_limits<double>::infinity();
-      double na = 0.0;
-      if (queue.next_arrival(na)) next_event = na;
+      double next_event = next_arrival();
       if (!retries.empty())
         next_event = std::min(next_event, retries.begin()->ready);
       next_event = std::min(next_event, next_health_event());
@@ -1255,9 +1257,8 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
     // If another request arrives before (or exactly when) a PCU frees,
     // admit it first: under EDF it may be more urgent than anything
     // already pending.
-    double next = 0.0;
-    if (queue.next_arrival(next) && next <= free_time) {
-      step_to(next);
+    if (next_arrival() <= free_time) {
+      step_to(next_arrival());
       continue;
     }
     if (fault_active) {
@@ -1492,20 +1493,8 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
           }
         }
       } else {
-        // Legacy policies: best free (active, capable) PCU. kEarliestFree
-        // keeps its longest-free-wins score; the others take the earliest
-        // predicted (model-blind) completion.
-        for (std::size_t p = 0; p < pcus_.size(); ++p) {
-          if (!elig(p) || free_at[p] > now) continue;
-          const double score =
-              policy == DispatchPolicy::kEarliestFree
-                  ? free_at[p]
-                  : now + blind_service(p, r.model, now);
-          if (score < best_score) {
-            best_score = score;
-            best = p;
-          }
-        }
+        // FIFO policies: best free eligible PCU.
+        best = pick_fifo(r.model, now, elig);
         if (best == pcus_.size()) {
           // Only reachable multi-model under kCapabilityAware: every PCU
           // capable of r.model is busy, so r waits while less demanding
@@ -1541,8 +1530,7 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
       // Advance to the next event that can change the picture — the next
       // arrival, the next strictly-later free time of an eligible PCU, or
       // (with faults) the next retry expiry or health event.
-      double next_event = std::numeric_limits<double>::infinity();
-      if (queue.next_arrival(next)) next_event = next;
+      double next_event = next_arrival();
       for (std::size_t p = 0; p < pcus_.size(); ++p) {
         if (!active[p] || excluded[p] || !scan_capable(p) ||
             free_at[p] <= now)
@@ -1601,9 +1589,11 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
       makespan = std::max(makespan, a.end);
   }
   advance_to(makespan);
+  // Without the autoscaler the whole pool is active throughout; report it
+  // exactly rather than as a sum of active_count * dt pieces.
   result.autoscaler.mean_active =
-      makespan > 0.0 ? active_integral / makespan
-                     : static_cast<double>(active_count);
+      scaler.enabled && makespan > 0.0 ? active_integral / makespan
+                                       : static_cast<double>(active_count);
 
   if (fault_active) {
     // Close every health dwell bucket at the makespan and derive per-PCU

@@ -87,7 +87,7 @@ enum class DispatchPolicy {
   /// completion, as soon as one is free. Unlike the FIFO policies above, a
   /// later arrival with a tighter deadline overtakes queued work, so
   /// dispatch commitments are deferred to the moment a PCU actually frees
-  /// (the event-driven admission mode; see simulate_admission).
+  /// (see simulate_admission).
   kEdf,
   /// Swap-aware multi-model dispatch. Prefers a free PCU already
   /// programmed with the request's model (zero swap); when every affine
@@ -100,8 +100,8 @@ enum class DispatchPolicy {
   /// shedding and the autoscaler compose unchanged. The only policy whose
   /// completion predictions include the swap charge — the legacy policies
   /// are deliberately model-blind (that asymmetry is what the multi-model
-  /// bench measures). Always event-driven: deferral decisions need the
-  /// fleet state at the moment a PCU frees.
+  /// bench measures). Always deferred: deferral decisions need the fleet
+  /// state at the moment a PCU frees.
   kModelAffinity,
   /// Pipeline-parallel serving. A request whose model has a PipelineGroup
   /// (see PcuPool::build_pipeline) is routed to the group's head stage as
@@ -115,7 +115,7 @@ enum class DispatchPolicy {
   /// EDF urgency order, and shedding, the autoscaler (reserved PCUs are
   /// held active), and fault quarantine compose — a quarantined or
   /// crashed stage PCU triggers a deterministic re-placement of the group
-  /// over its remaining healthy members. Always event-driven.
+  /// over its remaining healthy members. Always deferred.
   kPipeline,
 };
 
@@ -231,8 +231,8 @@ struct ScheduledService {
 /// for shrink_after_idle simulated seconds. A (re)activated PCU is forced
 /// cold: its next request pays the pipeline-fill warmup regardless of its
 /// WarmupPolicy — the cold-start cost the autoscaler has to reason about.
-/// Enabling the autoscaler routes admission through the event-driven mode
-/// (see simulate_admission).
+/// Enabling the autoscaler defers every dispatch commitment to the moment
+/// a PCU frees (see simulate_admission).
 struct AutoscalerPolicy {
   bool enabled = false;
   /// Lower bound on the active set; the initial active set is the
@@ -259,8 +259,8 @@ struct AdmissionOptions {
   /// if the predicted completion of that dispatch would exceed the
   /// request's deadline, instead of serving it late. Shed requests occupy
   /// no PCU time and are reported in AdmissionResult::shed. Requests
-  /// without a deadline (+inf) are never shed. Forces the event-driven
-  /// admission mode.
+  /// without a deadline (+inf) are never shed. Forces deferred
+  /// commitment (see simulate_admission).
   bool shed_expired = false;
   AutoscalerPolicy autoscaler;
   /// Fault injection and tolerance: a timed FaultSchedule to replay plus
@@ -268,7 +268,7 @@ struct AdmissionOptions {
   /// knobs (see fault_plan.hpp). The default (empty schedule) bypasses
   /// every fault code path — the resulting schedule is bit-identical to a
   /// run without fault machinery for every dispatch policy. A non-empty
-  /// schedule forces the event-driven admission mode.
+  /// schedule forces deferred commitment (see simulate_admission).
   FaultOptions faults;
   /// Opt-in observability (runtime/telemetry.hpp). Borrowed; may be null
   /// (the default — telemetry off). When set, the loop feeds it read-only
@@ -300,8 +300,8 @@ struct ShedReport {
 struct AutoscalerStats {
   std::size_t scale_ups = 0;   ///< PCU activations (cold starts charged)
   std::size_t scale_downs = 0; ///< PCU deactivations
-  /// Time-averaged active-set size over [0, makespan]; the full pool size
-  /// when the autoscaler is disabled.
+  /// Time-averaged active-set size over [0, makespan]; exactly the pool
+  /// size when the autoscaler is disabled.
   double mean_active = 0.0;
 };
 
@@ -416,10 +416,10 @@ class PcuPool {
   /// Clocked admission loop in virtual time — the single source of truth
   /// for every reported latency/throughput number.
   ///
-  /// Advances a virtual clock along the arrival timeline; at each step it
-  /// admits (pop_arrived) every request that has arrived and dispatches it
-  /// to the PCU `policy` selects (ties broken toward the lowest index),
-  /// charging the queueing delay start - arrival before service begins.
+  /// Walks `requests` in order along a virtual clock; at each step it
+  /// admits every request that has arrived and dispatches it to the PCU
+  /// `policy` selects (ties broken toward the lowest index), charging the
+  /// queueing delay start - arrival before service begins.
   /// Service time per request:
   ///
   ///  * double_buffer: the dispatched PCU's steady-state overlapped
@@ -430,19 +430,22 @@ class PcuPool {
   ///  * !double_buffer: the PCU's serial request time, no warmup (each
   ///    layer pays its own recalibration inline).
   ///
-  /// Preconditions: `queue` is closed and holds requests in nondecreasing
-  /// arrival_time order (push() enforces this). The queue is drained.
-  /// Single-threaded and deterministic: identical inputs and options yield
-  /// a bitwise-identical schedule.
+  /// Preconditions, checked on entry (pcnna::Error names the offending
+  /// index): arrival_time never decreases along `requests` (and is never
+  /// negative), and every model_id is registered. Single-threaded and
+  /// deterministic: identical inputs and options yield a bitwise-identical
+  /// schedule.
   ///
-  /// Two internal modes, selected automatically:
+  /// One event loop; when a request is committed to a PCU depends on the
+  /// policy and options:
   ///
-  ///  * Eager (FIFO policies, no shedding, no autoscaler): each request is
-  ///    dispatched the moment it is admitted. Exact because FIFO dispatch
-  ///    scores depend only on deterministic per-PCU free times — a later
-  ///    arrival can never change an earlier commitment. This is the
-  ///    pre-SLO code path, kept bit-identical.
-  ///  * Event-driven (kEdf, kModelAffinity, shed_expired,
+  ///  * At arrival (kEarliestFree, kLeastLoaded, kCapabilityAware without
+  ///    shedding, autoscaler, or faults): the request goes to the best
+  ///    capable PCU, busy ones included, starting at max(arrival, free).
+  ///    Exact because FIFO dispatch scores depend only on deterministic
+  ///    per-PCU free times — a later arrival can never change an earlier
+  ///    commitment.
+  ///  * Deferred (kEdf, kModelAffinity, kPipeline, shed_expired,
   ///    autoscaler.enabled, or a non-empty fault schedule): arrived
   ///    requests wait in a pending set and commitments are deferred to the
   ///    moment a PCU frees, because EDF lets a later tighter-deadline
@@ -478,8 +481,9 @@ class PcuPool {
   /// Returns the schedule of *served* requests in dispatch order plus the
   /// shed, autoscaler, and fault outcomes; without shedding or fault
   /// injection the schedule covers every request.
-  AdmissionResult simulate_admission(RequestQueue& queue,
-                                     const AdmissionOptions& options);
+  AdmissionResult simulate_admission(
+      const std::vector<InferenceRequest>& requests,
+      const AdmissionOptions& options);
 
  private:
   std::vector<Pcu> pcus_;

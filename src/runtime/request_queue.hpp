@@ -1,25 +1,14 @@
-// Inference requests and the arrival-ordered queue the admission loop
-// replays.
+// Inference requests and their serving metadata.
 //
-// A RequestQueue holds a closed stream of InferenceRequests in
-// nondecreasing arrival order. Its consumer is the virtual-time admission
-// loop (PcuPool::simulate_admission), which drains it single-threaded
-// (pop_arrived / next_arrival) against the requests' simulated arrival
-// timestamps to charge queueing delay deterministically. The physical
-// simulation work never pops the queue: PcuPool::serve runs each request
+// The virtual-time admission loop (PcuPool::simulate_admission) walks a
+// vector of InferenceRequests in nondecreasing arrival order to charge
+// queueing delay deterministically; PcuPool::serve then runs each request
 // on the PCU the resulting schedule assigned. Requests carry their own
 // engine seed, so an output never depends on which thread computed it.
-//
-// Thread-safety: every member function takes the internal mutex and is safe
-// to call from any thread, but the virtual-time interface is only
-// *meaningful* from one thread at a time (an admission loop interleaved
-// across threads would race on the virtual clock it advances).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -91,50 +80,5 @@ using ModelSchedule = std::vector<std::uint32_t>;
 /// and independent of which PCU executes the request.
 std::uint64_t derive_request_seed(std::uint64_t base_seed,
                                   std::uint64_t request_id);
-
-/// Unbounded FIFO of requests in nondecreasing arrival order, with
-/// shutdown semantics.
-class RequestQueue {
- public:
-  RequestQueue() = default;
-  RequestQueue(const RequestQueue&) = delete;
-  RequestQueue& operator=(const RequestQueue&) = delete;
-
-  /// Enqueue one request. Throws pcnna::Error if the queue is closed, or
-  /// if the request's arrival_time precedes that of an earlier push: the
-  /// virtual-time interface below peeks the *front* of the FIFO as the
-  /// earliest pending arrival, so an out-of-order push (e.g. an unsorted
-  /// trace file) would silently corrupt virtual-time admission.
-  void push(InferenceRequest request);
-
-  // --- Virtual-time interface (open-loop admission loop) ---
-  //
-  // Requests are guaranteed to sit in nondecreasing arrival_time order
-  // (push() rejects out-of-order arrivals). Both calls are non-blocking.
-
-  /// Pop the front request only if it has arrived by simulated time
-  /// `virtual_now` [s]. Returns false when the queue is empty or the front
-  /// request's arrival_time is still in the virtual future.
-  bool pop_arrived(double virtual_now, InferenceRequest& out);
-
-  /// Peek the front (= earliest, given ordered pushes) pending arrival
-  /// time into `when` [s]. Returns false when the queue is empty.
-  bool next_arrival(double& when) const;
-
-  /// End the stream: no further push() succeeds. The admission loop
-  /// requires a closed queue.
-  void close();
-
-  bool closed() const;
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::deque<InferenceRequest> queue_;
-  /// Largest arrival_time pushed so far (persists across pops), enforcing
-  /// the nondecreasing-push precondition of the virtual-time interface.
-  double last_arrival_ = 0.0;
-  bool closed_ = false;
-};
 
 } // namespace pcnna::runtime

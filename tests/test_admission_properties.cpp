@@ -45,7 +45,6 @@ using runtime::InferenceRequest;
 using runtime::PcuPool;
 using runtime::PcuSpec;
 using runtime::PriorityClass;
-using runtime::RequestQueue;
 using runtime::ScheduledService;
 
 struct TwoModels {
@@ -62,12 +61,10 @@ TwoModels make_two_models(std::uint64_t seed = 31) {
   return t;
 }
 
-AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
+AdmissionResult admit(PcuPool& pool,
+                      const std::vector<InferenceRequest>& requests,
                       const AdmissionOptions& admission) {
-  RequestQueue queue;
-  for (InferenceRequest& r : requests) queue.push(std::move(r));
-  queue.close();
-  return pool.simulate_admission(queue, admission);
+  return pool.simulate_admission(requests, admission);
 }
 
 /// Bitwise equality over every ScheduledService field — doubles compared

@@ -82,6 +82,14 @@ std::vector<PcuSpec> mixed_specs() {
   return {big, big, small, small};
 }
 
+/// Requests each virtual PCU served, in PCU order.
+std::vector<std::size_t> requests_per_pcu(
+    const std::vector<runtime::PcuBreakdown>& per_pcu) {
+  std::vector<std::size_t> counts;
+  for (const runtime::PcuBreakdown& b : per_pcu) counts.push_back(b.requests);
+  return counts;
+}
+
 void expect_open_loop_reports_equal(const OpenLoopReport& a,
                                     const OpenLoopReport& b) {
   EXPECT_EQ(a.makespan, b.makespan);
@@ -95,8 +103,6 @@ void expect_open_loop_reports_equal(const OpenLoopReport& a,
   EXPECT_EQ(a.queue_wait.mean, b.queue_wait.mean);
   EXPECT_EQ(a.mean_queue_depth, b.mean_queue_depth);
   EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.utilization_per_pcu, b.utilization_per_pcu);
-  EXPECT_EQ(a.virtual_requests_per_pcu, b.virtual_requests_per_pcu);
   ASSERT_EQ(a.per_pcu.size(), b.per_pcu.size());
   for (std::size_t p = 0; p < a.per_pcu.size(); ++p) {
     EXPECT_EQ(a.per_pcu[p].requests, b.per_pcu[p].requests);
@@ -138,8 +144,8 @@ TEST(HeteroFleet, HomogeneousSpecVectorBitIdenticalToLegacyConstructor) {
   EXPECT_EQ(legacy_fleet.mean_latency, spec_fleet.mean_latency);
   EXPECT_EQ(legacy_fleet.max_latency, spec_fleet.max_latency);
   EXPECT_EQ(legacy_fleet.total_energy, spec_fleet.total_energy);
-  EXPECT_EQ(legacy_fleet.virtual_requests_per_pcu,
-            spec_fleet.virtual_requests_per_pcu);
+  EXPECT_EQ(requests_per_pcu(legacy_fleet.per_pcu),
+            requests_per_pcu(spec_fleet.per_pcu));
 
   // Same promise on the open-loop timing path.
   const ArrivalSchedule arrivals = runtime::poisson_arrivals(500, 2000.0, 4);
@@ -253,10 +259,10 @@ TEST(HeteroFleet, CapabilityAwareBeatsEarliestFreeOnSkewedTrace) {
   const OpenLoopReport cap_report = cap_fleet.simulate_open_loop(arrivals);
 
   // Capability-aware never touches the small PCUs...
-  EXPECT_EQ(0u, cap_report.virtual_requests_per_pcu[2]);
-  EXPECT_EQ(0u, cap_report.virtual_requests_per_pcu[3]);
+  EXPECT_EQ(0u, cap_report.per_pcu[2].requests);
+  EXPECT_EQ(0u, cap_report.per_pcu[3].requests);
   // ...earliest-free does...
-  EXPECT_GT(ef_report.virtual_requests_per_pcu[2], 0u);
+  EXPECT_GT(ef_report.per_pcu[2].requests, 0u);
   // ...and paying the small PCUs' extra passes costs tail latency.
   EXPECT_LT(cap_report.latency.p99, ef_report.latency.p99);
   EXPECT_LT(cap_report.latency.mean, ef_report.latency.mean);
@@ -292,11 +298,11 @@ TEST(HeteroFleet, LeastLoadedPrefersFasterPcuOverLowerIndex) {
   const OpenLoopReport ll_report = ll_fleet.simulate_open_loop(arrivals);
   const OpenLoopReport ef_report = ef_fleet.simulate_open_loop(arrivals);
 
-  EXPECT_EQ(0u, ll_report.virtual_requests_per_pcu[0])
+  EXPECT_EQ(0u, ll_report.per_pcu[0].requests)
       << "least-loaded must never pick the slow PCU while the fast one "
          "completes sooner";
-  EXPECT_EQ(40u, ll_report.virtual_requests_per_pcu[1]);
-  EXPECT_GT(ef_report.virtual_requests_per_pcu[0], 0u)
+  EXPECT_EQ(40u, ll_report.per_pcu[1].requests);
+  EXPECT_GT(ef_report.per_pcu[0].requests, 0u)
       << "earliest-free is blind to speed and serves some requests slowly";
   EXPECT_LT(ll_report.latency.max, ef_report.latency.max);
 }
@@ -382,8 +388,6 @@ TEST(HeteroFleet, PerPcuBreakdownsAreConsistentWithTotals) {
   std::size_t total_requests = 0;
   for (std::size_t p = 0; p < r.per_pcu.size(); ++p) {
     total_requests += r.per_pcu[p].requests;
-    EXPECT_EQ(r.per_pcu[p].requests, r.virtual_requests_per_pcu[p]);
-    EXPECT_EQ(r.per_pcu[p].utilization, r.utilization_per_pcu[p]);
     EXPECT_LE(r.per_pcu[p].warmup_time, r.per_pcu[p].busy_time);
     EXPECT_NEAR(r.per_pcu[p].busy_time, r.per_pcu[p].utilization * r.makespan,
                 1e-12 * r.makespan);
@@ -440,7 +444,7 @@ TEST(HeteroFleet, FunctionalServingFollowsTheVirtualSchedule) {
     BatchRunner fleet(mixed_specs(), s.net, s.weights, o);
     OpenLoopReport r;
     ServedRun out{fleet.run_open_loop(s.inputs, arrivals, &r), {}};
-    out.virtual_per_pcu = r.virtual_requests_per_pcu;
+    out.virtual_per_pcu = requests_per_pcu(r.per_pcu);
     return out;
   });
 
@@ -449,13 +453,13 @@ TEST(HeteroFleet, FunctionalServingFollowsTheVirtualSchedule) {
   expect_serving_follows_schedule(4, 5, "homogeneous closed batch", [&] {
     FleetReport r;
     ServedRun out{homogeneous.run(s.inputs, &r), {}};
-    out.virtual_per_pcu = r.virtual_requests_per_pcu;
+    out.virtual_per_pcu = requests_per_pcu(r.per_pcu);
     return out;
   });
   expect_serving_follows_schedule(4, 5, "homogeneous open loop", [&] {
     OpenLoopReport r;
     ServedRun out{homogeneous.run_open_loop(s.inputs, arrivals, &r), {}};
-    out.virtual_per_pcu = r.virtual_requests_per_pcu;
+    out.virtual_per_pcu = requests_per_pcu(r.per_pcu);
     return out;
   });
 }

@@ -40,7 +40,6 @@ using runtime::ModelSchedule;
 using runtime::OpenLoopReport;
 using runtime::PcuPool;
 using runtime::PriorityClass;
-using runtime::RequestQueue;
 using runtime::RequestResult;
 using runtime::RequestSlo;
 using runtime::ScheduledService;
@@ -71,12 +70,10 @@ InferenceRequest timing_request(std::uint64_t id, double arrival,
   return r;
 }
 
-AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
+AdmissionResult admit(PcuPool& pool,
+                      const std::vector<InferenceRequest>& requests,
                       const AdmissionOptions& admission) {
-  RequestQueue queue;
-  for (InferenceRequest& r : requests) queue.push(std::move(r));
-  queue.close();
-  return pool.simulate_admission(queue, admission);
+  return pool.simulate_admission(requests, admission);
 }
 
 std::size_t count_swaps(const std::vector<ScheduledService>& schedule) {
@@ -355,8 +352,8 @@ TEST(MultiModel, ShedPlaceholdersCarryModelAndTenant) {
   const ModelSchedule models = {0, 1, 1};
   OpenLoopReport report;
   const std::vector<RequestResult> out =
-      runner.run_open_loop(inputs, runtime::closed_batch_arrivals(3), slos,
-                           models, &report);
+      runner.run_open_loop(inputs, runtime::closed_batch_arrivals(3), &report,
+                           slos, models);
 
   ASSERT_EQ(3u, out.size());
   EXPECT_FALSE(out[0].shed);
@@ -384,7 +381,7 @@ TEST(MultiModel, OutputsRouteToTheRequestedModelBitIdentically) {
   // runner built directly on weights_b (same request seed, same device).
   OpenLoopReport report;
   const std::vector<RequestResult> out = multi.run_open_loop(
-      {input}, runtime::closed_batch_arrivals(1), {}, {1}, &report);
+      {input}, runtime::closed_batch_arrivals(1), &report, {}, {1});
   ASSERT_EQ(1u, out.size());
   ASSERT_FALSE(out[0].output.empty());
   EXPECT_EQ(1u, out[0].model_id);

@@ -74,7 +74,9 @@ TEST(OpenLoop, ClosedBatchIsDegenerateArrivalProcess) {
   EXPECT_EQ(fleet.makespan, report.makespan);
   EXPECT_EQ(fleet.max_latency, report.latency.max);
   EXPECT_DOUBLE_EQ(fleet.mean_latency, report.latency.mean);
-  EXPECT_EQ(fleet.virtual_requests_per_pcu, report.virtual_requests_per_pcu);
+  ASSERT_EQ(fleet.per_pcu.size(), report.per_pcu.size());
+  for (std::size_t p = 0; p < fleet.per_pcu.size(); ++p)
+    EXPECT_EQ(fleet.per_pcu[p].requests, report.per_pcu[p].requests);
   EXPECT_TRUE(std::isinf(report.offered_rps));
   EXPECT_EQ(0.0, report.queue_wait.min)
       << "the first request on each PCU starts at its arrival";
@@ -117,8 +119,11 @@ TEST(OpenLoop, SimulatedReportIsDeterministic) {
   EXPECT_EQ(a.queue_wait.mean, b.queue_wait.mean);
   EXPECT_EQ(a.mean_queue_depth, b.mean_queue_depth);
   EXPECT_EQ(a.achieved_rps, b.achieved_rps);
-  EXPECT_EQ(a.utilization_per_pcu, b.utilization_per_pcu);
-  EXPECT_EQ(a.virtual_requests_per_pcu, b.virtual_requests_per_pcu);
+  ASSERT_EQ(a.per_pcu.size(), b.per_pcu.size());
+  for (std::size_t p = 0; p < a.per_pcu.size(); ++p) {
+    EXPECT_EQ(a.per_pcu[p].utilization, b.per_pcu[p].utilization);
+    EXPECT_EQ(a.per_pcu[p].requests, b.per_pcu[p].requests);
+  }
 }
 
 // Sparse arrivals: every request lands on an idle fleet, so it pays the
@@ -172,13 +177,12 @@ TEST(OpenLoop, TailLatencyGrowsWithLoadAndThroughputSaturates) {
   EXPECT_GT(overload.achieved_rps, 0.85 * capacity);
 
   // Utilization: bounded by 1, and saturated PCUs are busier.
-  for (double u : overload.utilization_per_pcu) {
-    EXPECT_GT(u, 0.9);
-    EXPECT_LE(u, 1.0 + 1e-12);
+  for (const runtime::PcuBreakdown& b : overload.per_pcu) {
+    EXPECT_GT(b.utilization, 0.9);
+    EXPECT_LE(b.utilization, 1.0 + 1e-12);
   }
-  for (std::size_t p = 0; p < light.utilization_per_pcu.size(); ++p)
-    EXPECT_LT(light.utilization_per_pcu[p],
-              overload.utilization_per_pcu[p]);
+  for (std::size_t p = 0; p < light.per_pcu.size(); ++p)
+    EXPECT_LT(light.per_pcu[p].utilization, overload.per_pcu[p].utilization);
 }
 
 TEST(OpenLoop, RejectsMismatchedOrInvalidSchedules) {

@@ -7,11 +7,20 @@
 // structurally disabled and those rows are guaranteed zeros. The rows are
 // now gated on the machinery actually acting; these tests pin the gating
 // by printing hand-built reports and asserting on the rendered rows.
+//
+// The autoscaler rows print only when the active set actually varied, so a
+// run without the autoscaler must report mean_active as exactly the pool
+// size — not as a sum of active * dt pieces that drifts in the last bits.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
+#include "core/config.hpp"
+#include "nn/models.hpp"
+#include "nn/synth.hpp"
+#include "runtime/arrival.hpp"
 #include "runtime/batch_runner.hpp"
 
 namespace {
@@ -102,6 +111,23 @@ TEST(ReportShape, RetriesWithoutQuarantinesPrintsOnlyRetryRows) {
   EXPECT_NE(std::string::npos, text.find("recovered requests"));
   EXPECT_EQ(std::string::npos, text.find("quarantines"));
   EXPECT_EQ(std::string::npos, text.find("plan epoch bumps"));
+}
+
+TEST(ReportShape, AutoscalerOffReportsExactPoolSizeAndNoAutoscalerRows) {
+  pcnna::Rng rng(1);
+  const pcnna::nn::Network net = pcnna::nn::tiny_cnn();
+  pcnna::runtime::BatchRunnerOptions o;
+  o.num_pcus = 3;
+  o.simulate_values = false;
+  o.dispatch = pcnna::runtime::DispatchPolicy::kEdf;
+  BatchRunner runner(pcnna::core::PcnnaConfig::paper_defaults(), net,
+                     pcnna::nn::make_network_weights(net, rng), o);
+  const double capacity = runner.simulate_open_loop({}).fleet_capacity_rps;
+  const OpenLoopReport r = runner.simulate_open_loop(
+      pcnna::runtime::poisson_arrivals(500, 0.7 * capacity, 1));
+
+  EXPECT_EQ(3.0, r.autoscaler.mean_active);
+  EXPECT_EQ(std::string::npos, print(r).find("autoscaler"));
 }
 
 } // namespace

@@ -1,180 +1,128 @@
-// RequestQueue: FIFO order, shutdown semantics, thread-safe draining, the
-// virtual-time interface, and per-request seed derivation.
+// The request stream simulate_admission walks: FIFO commitment in vector
+// order, arrival ordering validated on entry, virtual-time starts, plus
+// priority-class names and per-request seed derivation.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/config.hpp"
+#include "nn/models.hpp"
+#include "nn/synth.hpp"
+#include "runtime/pcu_pool.hpp"
 #include "runtime/request_queue.hpp"
 
 namespace {
 
 using namespace pcnna;
+using runtime::AdmissionResult;
 using runtime::derive_request_seed;
 using runtime::InferenceRequest;
-using runtime::RequestQueue;
+using runtime::PcuPool;
 
-constexpr double kForever = std::numeric_limits<double>::infinity();
-
-InferenceRequest make_request(std::uint64_t id) {
+InferenceRequest make_request(std::uint64_t id, double arrival = 0.0) {
   InferenceRequest r;
   r.id = id;
   r.seed = derive_request_seed(7, id);
+  r.arrival_time = arrival;
   return r;
 }
 
-TEST(RequestQueue, PopsInFifoOrder) {
-  RequestQueue q;
-  for (std::uint64_t id = 0; id < 5; ++id) q.push(make_request(id));
-  EXPECT_EQ(5u, q.size());
+/// A tiny_cnn pool the admission tests below dispatch onto.
+struct Fleet {
+  nn::Network net = nn::tiny_cnn();
+  nn::NetWeights weights;
+  PcuPool pool;
 
-  InferenceRequest out;
-  for (std::uint64_t id = 0; id < 5; ++id) {
-    ASSERT_TRUE(q.pop_arrived(kForever, out));
-    EXPECT_EQ(id, out.id);
+  explicit Fleet(std::size_t pcus)
+      : weights(make_weights(net)),
+        pool(pcus, core::PcnnaConfig::paper_defaults(),
+             core::TimingFidelity::kFull, net, weights) {}
+
+  static nn::NetWeights make_weights(const nn::Network& net) {
+    Rng rng(5);
+    return nn::make_network_weights(net, rng);
   }
-  EXPECT_EQ(0u, q.size());
+};
+
+TEST(SimulateAdmission, CommitsFifoInVectorOrder) {
+  Fleet f(1);
+  std::vector<InferenceRequest> requests;
+  for (std::uint64_t id = 0; id < 5; ++id) requests.push_back(make_request(id));
+  const AdmissionResult r = f.pool.simulate_admission(requests, {});
+  ASSERT_EQ(5u, r.schedule.size());
+  for (std::uint64_t id = 0; id < 5; ++id) EXPECT_EQ(id, r.schedule[id].id);
+  // One PCU, everything at t = 0: each request starts when the previous
+  // one completes.
+  for (std::size_t i = 1; i < 5; ++i)
+    EXPECT_EQ(r.schedule[i - 1].completion, r.schedule[i].start);
 }
 
-TEST(RequestQueue, CloseDrainsThenExhausts) {
-  RequestQueue q;
-  q.push(make_request(0));
-  q.push(make_request(1));
-  q.close();
-  EXPECT_TRUE(q.closed());
-
-  InferenceRequest out;
-  EXPECT_TRUE(q.pop_arrived(kForever, out));
-  EXPECT_TRUE(q.pop_arrived(kForever, out));
-  EXPECT_FALSE(q.pop_arrived(kForever, out))
-      << "closed and empty must report exhaustion";
+TEST(SimulateAdmission, AdmitsEveryRequestExactlyOnce) {
+  Fleet f(3);
+  std::vector<InferenceRequest> requests;
+  for (std::uint64_t id = 0; id < 40; ++id)
+    requests.push_back(make_request(id, static_cast<double>(id / 4) * 1e-6));
+  const AdmissionResult r = f.pool.simulate_admission(requests, {});
+  std::set<std::uint64_t> ids;
+  for (const runtime::ScheduledService& s : r.schedule) ids.insert(s.id);
+  EXPECT_EQ(40u, r.schedule.size());
+  EXPECT_EQ(40u, ids.size());
 }
 
-TEST(RequestQueue, PushAfterCloseThrows) {
-  RequestQueue q;
-  q.close();
-  EXPECT_THROW(q.push(make_request(0)), Error);
+TEST(SimulateAdmission, NoRequestStartsBeforeItsArrival) {
+  Fleet f(1);
+  const double interval = f.pool.pcu(0).request_interval_overlapped();
+  const double warmup = f.pool.pcu(0).warmup_time();
+  // Request 1 arrives exactly when request 0 completes (boundary
+  // inclusive: it starts back to back, without warmup); request 2 arrives
+  // long after the PCU went idle.
+  const std::vector<InferenceRequest> requests = {
+      make_request(0, 0.0), make_request(1, interval + warmup),
+      make_request(2, 10.0 * (interval + warmup))};
+  const AdmissionResult r = f.pool.simulate_admission(requests, {});
+  ASSERT_EQ(3u, r.schedule.size());
+  EXPECT_EQ(0.0, r.schedule[0].start);
+  EXPECT_EQ(r.schedule[0].completion, r.schedule[1].start);
+  EXPECT_EQ(0.0, r.schedule[1].warmup);
+  EXPECT_EQ(requests[2].arrival_time, r.schedule[2].start);
+  for (const runtime::ScheduledService& s : r.schedule)
+    EXPECT_LE(s.arrival, s.start);
 }
 
-// Every member takes the internal mutex: consumers on several threads
-// split the stream between them without losing or duplicating a request.
-TEST(RequestQueue, ConcurrentConsumersPartitionTheStream) {
-  constexpr std::uint64_t kRequests = 200;
-  constexpr int kConsumers = 4;
-
-  RequestQueue q;
-  for (std::uint64_t id = 0; id < kRequests; ++id) q.push(make_request(id));
-  q.close();
-
-  std::vector<std::vector<std::uint64_t>> seen(kConsumers);
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      InferenceRequest out;
-      while (q.pop_arrived(kForever, out)) seen[c].push_back(out.id);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  // Every id consumed exactly once across all consumers.
-  std::set<std::uint64_t> all;
-  std::size_t total = 0;
-  for (const auto& ids : seen) {
-    total += ids.size();
-    all.insert(ids.begin(), ids.end());
-  }
-  EXPECT_EQ(kRequests, total);
-  EXPECT_EQ(kRequests, all.size());
-}
-
-TEST(RequestQueue, PopArrivedHonorsVirtualTime) {
-  RequestQueue q;
-  for (std::uint64_t id = 0; id < 3; ++id) {
-    InferenceRequest r = make_request(id);
-    r.arrival_time = static_cast<double>(id) * 1e-3; // 0, 1 ms, 2 ms
-    q.push(std::move(r));
-  }
-  q.close();
-
-  InferenceRequest out;
-  double when = -1.0;
-  ASSERT_TRUE(q.next_arrival(when));
-  EXPECT_EQ(0.0, when);
-
-  // At t = 1 ms exactly two requests have arrived (boundary inclusive).
-  EXPECT_TRUE(q.pop_arrived(1e-3, out));
-  EXPECT_EQ(0u, out.id);
-  EXPECT_TRUE(q.pop_arrived(1e-3, out));
-  EXPECT_EQ(1u, out.id);
-  EXPECT_FALSE(q.pop_arrived(1e-3, out))
-      << "request 2 is still in the virtual future at t = 1 ms";
-
-  ASSERT_TRUE(q.next_arrival(when));
-  EXPECT_EQ(2e-3, when);
-  EXPECT_TRUE(q.pop_arrived(5e-3, out));
-  EXPECT_EQ(2u, out.id);
-  EXPECT_FALSE(q.next_arrival(when)) << "drained queue has no next arrival";
-  EXPECT_FALSE(q.pop_arrived(1.0, out));
-}
-
-TEST(RequestQueue, RejectsOutOfOrderArrivals) {
-  // The virtual-time interface peeks the FIFO front as the earliest
-  // pending arrival, so an unsorted trace must be rejected at push() —
-  // not silently corrupt admission.
-  RequestQueue q;
-  InferenceRequest r = make_request(0);
-  r.arrival_time = 2e-3;
-  q.push(std::move(r));
-
-  InferenceRequest late = make_request(1);
-  late.arrival_time = 1e-3; // earlier than the request already pushed
-  EXPECT_THROW(q.push(std::move(late)), Error);
-
+TEST(SimulateAdmission, RejectsOutOfOrderArrivals) {
+  // The loop peeks the next vector element as the earliest pending
+  // arrival, so an unsorted trace must be rejected on entry — not silently
+  // corrupt admission.
+  Fleet f(1);
+  EXPECT_THROW(f.pool.simulate_admission(
+                   {make_request(0, 2e-3), make_request(1, 1e-3)}, {}),
+               Error);
   // Equal timestamps are fine (nondecreasing, not strictly increasing).
-  InferenceRequest tie = make_request(2);
-  tie.arrival_time = 2e-3;
-  EXPECT_NO_THROW(q.push(std::move(tie)));
+  EXPECT_NO_THROW(f.pool.simulate_admission(
+      {make_request(0, 2e-3), make_request(1, 2e-3)}, {}));
 }
 
-TEST(RequestQueue, ShuffledTraceIsRejectedNotReordered) {
+TEST(SimulateAdmission, ShuffledTraceIsRejectedNotReordered) {
   // Regression: replaying a shuffled trace used to slip through and feed
   // the admission loop out-of-order timestamps.
+  Fleet f(2);
   const std::vector<double> shuffled = {0.0, 3e-3, 1e-3, 2e-3};
-  RequestQueue q;
-  std::uint64_t id = 0;
-  bool threw = false;
+  std::vector<InferenceRequest> requests;
+  for (std::size_t id = 0; id < shuffled.size(); ++id)
+    requests.push_back(make_request(id, shuffled[id]));
   try {
-    for (double t : shuffled) {
-      InferenceRequest r = make_request(id++);
-      r.arrival_time = t;
-      q.push(std::move(r));
-    }
+    f.pool.simulate_admission(requests, {});
+    ADD_FAILURE() << "a shuffled trace must be rejected";
   } catch (const Error& e) {
-    threw = true;
-    EXPECT_NE(std::string::npos, std::string(e.what()).find("out-of-order"));
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos, what.find("out-of-order"));
+    EXPECT_NE(std::string::npos, what.find("request 2"))
+        << "the error names the first offending index";
   }
-  EXPECT_TRUE(threw);
-  // The queue keeps only the prefix pushed before the violation.
-  EXPECT_EQ(2u, q.size());
-}
-
-TEST(RequestQueue, OrderingPersistsAcrossPops) {
-  // last-arrival tracking must survive the queue being drained: a push
-  // that precedes an already-*popped* arrival is still out of order.
-  RequestQueue q;
-  InferenceRequest r = make_request(0);
-  r.arrival_time = 5e-3;
-  q.push(std::move(r));
-  InferenceRequest out;
-  ASSERT_TRUE(q.pop_arrived(kForever, out));
-
-  InferenceRequest late = make_request(1);
-  late.arrival_time = 1e-3;
-  EXPECT_THROW(q.push(std::move(late)), Error);
 }
 
 TEST(PriorityClass, NamesAreExhaustive) {

@@ -3,7 +3,6 @@
 // double-buffered recalibration overlap model.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -100,12 +99,13 @@ TEST(BatchRunner, ShardingConservesWork) {
   EXPECT_EQ(17u, wall_total);
 
   // Virtual sharding: deterministic least-loaded schedule = 17 over 4.
-  ASSERT_EQ(4u, report.virtual_requests_per_pcu.size());
-  EXPECT_EQ(17u, std::accumulate(report.virtual_requests_per_pcu.begin(),
-                                 report.virtual_requests_per_pcu.end(),
-                                 std::size_t{0}));
-  EXPECT_EQ(5u, report.virtual_requests_per_pcu[0]);
-  EXPECT_EQ(4u, report.virtual_requests_per_pcu[3]);
+  ASSERT_EQ(4u, report.per_pcu.size());
+  std::size_t virtual_total = 0;
+  for (const runtime::PcuBreakdown& b : report.per_pcu)
+    virtual_total += b.requests;
+  EXPECT_EQ(17u, virtual_total);
+  EXPECT_EQ(5u, report.per_pcu[0].requests);
+  EXPECT_EQ(4u, report.per_pcu[3].requests);
 }
 
 TEST(BatchRunner, DeterministicUnderFixedSeed) {
@@ -123,7 +123,9 @@ TEST(BatchRunner, DeterministicUnderFixedSeed) {
   EXPECT_EQ(r1.makespan, r2.makespan);
   EXPECT_EQ(r1.throughput_rps, r2.throughput_rps);
   EXPECT_EQ(r1.total_energy, r2.total_energy);
-  EXPECT_EQ(r1.virtual_requests_per_pcu, r2.virtual_requests_per_pcu);
+  ASSERT_EQ(r1.per_pcu.size(), r2.per_pcu.size());
+  for (std::size_t p = 0; p < r1.per_pcu.size(); ++p)
+    EXPECT_EQ(r1.per_pcu[p].requests, r2.per_pcu[p].requests);
 
   // A different base seed changes the noise draw (noise is on), so at least
   // one output must differ.

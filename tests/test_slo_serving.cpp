@@ -48,7 +48,6 @@ using runtime::InferenceRequest;
 using runtime::OpenLoopReport;
 using runtime::PcuPool;
 using runtime::PriorityClass;
-using runtime::RequestQueue;
 using runtime::RequestResult;
 using runtime::RequestSlo;
 using runtime::ScheduledService;
@@ -94,12 +93,10 @@ InferenceRequest timing_request(std::uint64_t id, double arrival,
   return r;
 }
 
-AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
+AdmissionResult admit(PcuPool& pool,
+                      const std::vector<InferenceRequest>& requests,
                       const AdmissionOptions& admission) {
-  RequestQueue queue;
-  for (InferenceRequest& r : requests) queue.push(std::move(r));
-  queue.close();
-  return pool.simulate_admission(queue, admission);
+  return pool.simulate_admission(requests, admission);
 }
 
 // --- Warmup recharge boundary (satellite bugfix) ---
@@ -179,8 +176,8 @@ TEST(EdfAdmission, LaterTighterDeadlineArrivalOvertakesQueuedWork) {
 
   // Request 0 occupies the PCU from t=0. Requests 1 and 2 arrive while it
   // runs; 2 arrives LAST but with the tighter deadline, so the deferred
-  // dispatch at the first free instant must pick it before 1. The eager
-  // FIFO loop could never produce this order.
+  // dispatch at the first free instant must pick it before 1. FIFO
+  // commitment at arrival could never produce this order.
   AdmissionOptions admission;
   admission.policy = DispatchPolicy::kEdf;
   const AdmissionResult r = admit(
@@ -217,7 +214,7 @@ TEST(EdfAdmission, WithoutDeadlinesMatchesFifoOrder) {
   const AdmissionResult b = admit(pool, std::move(edf_reqs), edf);
 
   // With every deadline at +inf the EDF order degenerates to (arrival,
-  // id) — FIFO — and the deferred loop must reproduce the eager loop's
+  // id) — FIFO — and deferred dispatch must reproduce the commit-at-arrival
   // dispatch order exactly (completion times can only match too, since
   // both dispatch to the earliest-completing free PCU of an all-equal
   // fleet).
@@ -296,7 +293,7 @@ TEST(LoadShedding, ServedOutputsBitIdenticalAndShedSlotsFlagged) {
                                  warmup + 1.5 * interval});
   OpenLoopReport report;
   const std::vector<RequestResult> out = runner.run_open_loop(
-      s.inputs, runtime::closed_batch_arrivals(3), slos, &report);
+      s.inputs, runtime::closed_batch_arrivals(3), &report, slos);
 
   ASSERT_EQ(3u, out.size());
   EXPECT_FALSE(out[0].shed);

@@ -32,7 +32,6 @@ using runtime::Histogram;
 using runtime::InferenceRequest;
 using runtime::MetricsRegistry;
 using runtime::PcuPool;
-using runtime::RequestQueue;
 using runtime::RequestSpan;
 using runtime::ScheduledService;
 using runtime::SpanKind;
@@ -181,12 +180,10 @@ std::vector<InferenceRequest> burst(std::size_t count, double spacing) {
   return requests;
 }
 
-AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
+AdmissionResult admit(PcuPool& pool,
+                      const std::vector<InferenceRequest>& requests,
                       const AdmissionOptions& options) {
-  RequestQueue queue;
-  for (InferenceRequest& r : requests) queue.push(std::move(r));
-  queue.close();
-  return pool.simulate_admission(queue, options);
+  return pool.simulate_admission(requests, options);
 }
 
 TEST(Telemetry, ServiceSpansMirrorTheScheduleExactly) {

@@ -42,7 +42,6 @@ using runtime::InferenceRequest;
 using runtime::OpenLoopReport;
 using runtime::PcuPool;
 using runtime::PriorityClass;
-using runtime::RequestQueue;
 using runtime::RequestResult;
 using runtime::ScheduledService;
 using runtime::Telemetry;
@@ -61,12 +60,10 @@ TwoModels make_two_models(std::uint64_t seed = 31) {
   return t;
 }
 
-AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
+AdmissionResult admit(PcuPool& pool,
+                      const std::vector<InferenceRequest>& requests,
                       const AdmissionOptions& admission) {
-  RequestQueue queue;
-  for (InferenceRequest& r : requests) queue.push(std::move(r));
-  queue.close();
-  return pool.simulate_admission(queue, admission);
+  return pool.simulate_admission(requests, admission);
 }
 
 /// Bitwise equality over every ScheduledService field — doubles compared
@@ -285,7 +282,7 @@ TEST(TelemetryPurity, FunctionalOutputsAndReportUnchanged) {
       slos[i].deadline =
           arrivals[i] + runner.pool().pcu(0).warmup_time(0) + 8.0 * interval;
     }
-    return runner.run_open_loop(inputs, arrivals, slos, report);
+    return runner.run_open_loop(inputs, arrivals, report, slos);
   };
 
   OpenLoopReport report_off, report_on;
