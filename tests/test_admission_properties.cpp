@@ -15,7 +15,9 @@
 //    lost), virtual time is monotone on the event-driven path, and no two
 //    services — including pipeline stage spans — overlap on one PCU;
 //  * golden FIFO schedules: the commit-at-arrival policies reproduce
-//    pinned schedule digests on a homogeneous and a mixed fleet.
+//    pinned schedule digests on a homogeneous and a mixed fleet;
+//  * golden admission results across fleet shapes, warmup policies,
+//    serial pricing, two models, 2048 PCUs and every deferral mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -663,13 +665,14 @@ std::uint64_t schedule_digest(const AdmissionResult& r) {
   return h;
 }
 
-/// 2000 Poisson arrivals at 0.9x the pool's steady-state capacity.
-std::vector<InferenceRequest> fifo_stream(const PcuPool& pool) {
+/// 2000 Poisson arrivals at `load` x the pool's steady-state capacity.
+std::vector<InferenceRequest> fifo_stream(const PcuPool& pool,
+                                          double load = 0.9) {
   double capacity = 0.0;
   for (std::size_t p = 0; p < pool.size(); ++p)
     capacity += 1.0 / pool.pcu(p).request_interval_overlapped(0);
   const ArrivalSchedule arrivals =
-      runtime::poisson_arrivals(2000, 0.9 * capacity, 1);
+      runtime::poisson_arrivals(2000, load * capacity, 1);
   std::vector<InferenceRequest> requests(arrivals.size());
   for (std::size_t id = 0; id < arrivals.size(); ++id) {
     requests[id].id = id;
@@ -718,6 +721,259 @@ TEST(FifoGolden, SchedulesMatchPinnedDigests) {
     ASSERT_EQ(2000u, r.schedule.size());
     EXPECT_EQ(c.digest, schedule_digest(r));
   }
+}
+
+// --- Golden schedules over every free-PCU search ---
+//
+// The searches for a free PCU (the FIFO pick at arrival and at a PCU-free
+// event, the next dispatch instant, the next event when everything defers)
+// see each fleet shape, warmup policy, service pricing and deferral mode
+// differently. These digests pin them all, together with every shed
+// decision, autoscaler count and fault outcome, so no change to how the
+// searches are answered can move a single bit.
+
+/// schedule_digest plus the shed, autoscaler and fault outcomes.
+std::uint64_t admission_digest(const AdmissionResult& r) {
+  std::uint64_t h = schedule_digest(r);
+  for (const runtime::ShedDecision& d : r.shed.decisions) {
+    h = fnv1a(h, d.id);
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(d.decision_time));
+  }
+  h = fnv1a(h, r.autoscaler.scale_ups);
+  h = fnv1a(h, r.autoscaler.scale_downs);
+  h = fnv1a(h, std::bit_cast<std::uint64_t>(r.autoscaler.mean_active));
+  for (const runtime::FaultedAttempt& a : r.fault.attempts) {
+    h = fnv1a(h, a.id);
+    h = fnv1a(h, a.pcu);
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(a.end));
+  }
+  for (const runtime::RequestLoss& l : r.fault.losses) h = fnv1a(h, l.id);
+  return h;
+}
+
+/// `count` requests, every one arriving at t = 0: a closed batch.
+std::vector<InferenceRequest> closed_batch(std::size_t count) {
+  std::vector<InferenceRequest> requests(count);
+  for (std::size_t id = 0; id < count; ++id) requests[id].id = id;
+  return requests;
+}
+
+/// fifo_stream with each request's model drawn uniformly from {0, 1}.
+std::vector<InferenceRequest> two_model_stream(const PcuPool& pool) {
+  std::vector<InferenceRequest> requests = fifo_stream(pool);
+  Rng rng(5);
+  for (InferenceRequest& r : requests)
+    r.model_id = static_cast<std::uint32_t>(rng.next_u64() % 2);
+  return requests;
+}
+
+/// A one-channel network: per-channel ring allocation maps it in the same
+/// single pass as per-kernel allocation, so small cores are capable of it
+/// while big cores alone are capable of tiny_cnn.
+nn::Network mono_cnn() {
+  nn::Network net("mono_cnn", nn::Shape4{1, 1, 8, 8});
+  net.add_conv({"m1", /*n=*/8, /*m=*/3, /*p=*/1, /*s=*/1, /*nc=*/1, /*K=*/4})
+      .add_relu();
+  net.add_fc(10).add_softmax();
+  return net;
+}
+
+struct GoldenCase {
+  const char* name;
+  PcuPool* pool;
+  AdmissionOptions options;
+  std::vector<InferenceRequest> requests;
+  std::uint64_t digest;
+};
+
+void expect_golden(const std::vector<GoldenCase>& cases) {
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + " " +
+                 runtime::dispatch_policy_name(c.options.policy));
+    const AdmissionResult r = admit(*c.pool, c.requests, c.options);
+    ASSERT_GT(r.schedule.size(), 0u);
+    EXPECT_EQ(c.digest, admission_digest(r))
+        << std::hex << std::uppercase << "0x" << admission_digest(r);
+  }
+}
+
+AdmissionOptions with_policy(DispatchPolicy policy) {
+  AdmissionOptions o;
+  o.policy = policy;
+  return o;
+}
+
+TEST(AdmissionGolden, CommitAtArrivalMatchesPinnedDigests) {
+  const TwoModels t = make_two_models();
+  PcuPool eight(8, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                t.net, t.weights_a);
+  PcuPool fleet2048(2048, PcnnaConfig::paper_defaults(),
+                    TimingFidelity::kFull, t.net, t.weights_a);
+
+  // Every warmup policy on both core sizes: six PCUs, six tiers.
+  PcuSpec big;
+  big.config = PcnnaConfig::paper_defaults();
+  PcuSpec small;
+  small.config = PcnnaConfig::small_core();
+  std::vector<PcuSpec> specs;
+  for (const runtime::WarmupPolicy w :
+       {runtime::WarmupPolicy::kPinnedAfterFirst,
+        runtime::WarmupPolicy::kRechargeAfterIdle,
+        runtime::WarmupPolicy::kAlwaysCold}) {
+    big.warmup = w;
+    small.warmup = w;
+    specs.push_back(big);
+    specs.push_back(small);
+  }
+  PcuPool warmups(specs, TimingFidelity::kFull, t.net, t.weights_a);
+
+  // Two models on 2 big + 2 small: small cores are capable of mono_cnn
+  // only, so kCapabilityAware splits the fleet per model.
+  const nn::Network mono = mono_cnn();
+  Rng rng(3);
+  const nn::NetWeights mono_weights = nn::make_network_weights(mono, rng);
+  big.warmup = runtime::WarmupPolicy::kRechargeAfterIdle;
+  small.warmup = runtime::WarmupPolicy::kRechargeAfterIdle;
+  PcuPool mixed({big, big, small, small}, TimingFidelity::kFull, t.net,
+                t.weights_a);
+  mixed.register_model(mono, mono_weights);
+  ASSERT_NE(mixed.pcu(2).channel_split_passes(0), mixed.min_split_passes(0));
+  ASSERT_EQ(mixed.pcu(2).channel_split_passes(1), mixed.min_split_passes(1));
+
+  AdmissionOptions serial_ll = with_policy(DispatchPolicy::kLeastLoaded);
+  serial_ll.double_buffer = false;
+  AdmissionOptions serial_ef = with_policy(DispatchPolicy::kEarliestFree);
+  serial_ef.double_buffer = false;
+
+  using P = DispatchPolicy;
+  expect_golden({
+      {"closed batch, 8", &eight, with_policy(P::kEarliestFree),
+       closed_batch(200), 0xC7ECB63C59F09F95ull},
+      {"closed batch, 8", &eight, with_policy(P::kLeastLoaded),
+       closed_batch(200), 0xC7ECB63C59F09F95ull},
+      {"warmup policies", &warmups, with_policy(P::kEarliestFree),
+       fifo_stream(warmups), 0x2B967006FF420AC6ull},
+      {"warmup policies", &warmups, with_policy(P::kLeastLoaded),
+       fifo_stream(warmups), 0xEB6AA4FEDE0A0A44ull},
+      {"warmup policies, closed batch", &warmups,
+       with_policy(P::kLeastLoaded), closed_batch(200),
+       0xFA3EF19A14C1B655ull},
+      {"serial, warmup policies", &warmups, serial_ll, fifo_stream(warmups),
+       0x1829710AA75ECE50ull},
+      {"serial, warmup policies", &warmups, serial_ef, fifo_stream(warmups),
+       0x83CBD88AE5BDE0B2ull},
+      {"serial, 8", &eight, serial_ll, fifo_stream(eight),
+       0x57B1D8EB27DC5FF6ull},
+      {"two models, 2 big + 2 small", &mixed, with_policy(P::kCapabilityAware),
+       two_model_stream(mixed), 0x70E1C903D1BDCCBCull},
+      {"two models, 2 big + 2 small", &mixed, with_policy(P::kLeastLoaded),
+       two_model_stream(mixed), 0x7C72EC9FC69505C4ull},
+      {"2048", &fleet2048, with_policy(P::kLeastLoaded),
+       fifo_stream(fleet2048), 0x4155E97D39A4F8C9ull},
+      {"2048", &fleet2048, with_policy(P::kEarliestFree),
+       fifo_stream(fleet2048), 0xEA1331F1BCCCF1CFull},
+  });
+}
+
+TEST(AdmissionGolden, DeferredPathsMatchPinnedDigests) {
+  const TwoModels t = make_two_models();
+  PcuPool four(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull, t.net,
+               t.weights_a);
+  four.register_model(t.net, t.weights_b);
+  PcuPool piped(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                t.net, t.weights_a);
+  piped.register_model(t.net, t.weights_b);
+  piped.build_pipeline(/*model=*/1, {0, 1});
+  PcuSpec big;
+  big.config = PcnnaConfig::paper_defaults();
+  PcuSpec small;
+  small.config = PcnnaConfig::small_core();
+  small.warmup = runtime::WarmupPolicy::kPinnedAfterFirst;
+  PcuPool mixed({big, small, big, small}, TimingFidelity::kFull, t.net,
+                t.weights_a);
+  const double interval = four.pcu(0).request_interval_overlapped(0);
+
+  AdmissionOptions edf_shed = with_policy(DispatchPolicy::kEdf);
+  edf_shed.shed_expired = true;
+
+  const auto scaled = [&](DispatchPolicy policy) {
+    AdmissionOptions o = with_policy(policy);
+    o.autoscaler.enabled = true;
+    o.autoscaler.min_active = 1;
+    o.autoscaler.backlog_per_pcu = 1.5;
+    o.autoscaler.shrink_after_idle = 3.0 * interval;
+    return o;
+  };
+
+  runtime::FaultModel hazard;
+  hazard.mtbf = 50.0 * interval;
+  hazard.horizon = 200.0 * interval;
+  hazard.mean_time_to_repair = 15.0 * interval;
+  hazard.crash_weight = 3.0;
+  const auto faulty = [&](DispatchPolicy policy, std::uint64_t seed) {
+    AdmissionOptions o = with_policy(policy);
+    o.faults.schedule = runtime::poisson_faults(4, hazard, seed);
+    o.faults.detection_latency = 0.5 * interval;
+    o.faults.retry.backoff_base = 0.25 * interval;
+    o.faults.repair_time = 2.0 * interval;
+    return o;
+  };
+  AdmissionOptions blind = faulty(DispatchPolicy::kLeastLoaded, 104);
+  blind.faults.health_aware = false;
+
+  // Many idle PCUs, some degraded and never repaired: a degraded PCU must
+  // lose to an idle healthy one from the moment its degrade strikes.
+  PcuPool sixteen(16, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                  t.net, t.weights_a);
+  runtime::FaultModel drift;
+  drift.mtbf = 100.0 * interval;
+  drift.horizon = 150.0 * interval;
+  drift.transient_weight = 0.0;
+  drift.crash_weight = 0.0;
+  AdmissionOptions drifting = with_policy(DispatchPolicy::kLeastLoaded);
+  drifting.faults.schedule = runtime::poisson_faults(16, drift, 108);
+  drifting.faults.health_aware = false;
+
+  // Light, bursty load: the autoscaler parks and wakes PCUs all run long.
+  PcuPool eight(8, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                t.net, t.weights_a);
+  AdmissionOptions parking = scaled(DispatchPolicy::kLeastLoaded);
+  parking.autoscaler.backlog_per_pcu = 1.0;
+  parking.autoscaler.shrink_after_idle = 1.0 * interval;
+
+  using P = DispatchPolicy;
+  expect_golden({
+      {"edf + shed", &four, edf_shed, seeded_stream(four, 300, 7),
+       0x24E9A96BC3901A78ull},
+      {"autoscaler", &four, scaled(P::kLeastLoaded),
+       seeded_stream(four, 300, 7), 0xCE7339B6A183347Dull},
+      {"autoscaler", &four, scaled(P::kEdf), seeded_stream(four, 300, 21),
+       0x7282396B8B4793BCull},
+      {"autoscaler", &four, scaled(P::kModelAffinity),
+       seeded_stream(four, 300, 21), 0x0DFD240974A13192ull},
+      {"autoscaler", &piped, scaled(P::kPipeline),
+       seeded_stream(piped, 300, 17), 0x6904812AFB7E20E0ull},
+      {"autoscaler, 0.9x load", &mixed, scaled(P::kLeastLoaded),
+       fifo_stream(mixed), 0x19857605E87F735Bull},
+      {"health-aware faults", &four, faulty(P::kLeastLoaded, 101),
+       seeded_stream(four, 300, 7), 0x63D630B1EA5AB3ABull},
+      {"health-aware faults", &four, faulty(P::kEarliestFree, 102),
+       seeded_stream(four, 300, 21), 0xEE3BD71D990E961Bull},
+      {"health-aware faults", &mixed, faulty(P::kCapabilityAware, 103),
+       fifo_stream(mixed), 0x14787A8405EDC260ull},
+      {"health-aware faults", &four, faulty(P::kEdf, 105),
+       seeded_stream(four, 300, 63), 0x891353AA87DE0D45ull},
+      {"health-aware faults", &four, faulty(P::kModelAffinity, 106),
+       seeded_stream(four, 300, 63), 0xEA1EE3EA353C32A2ull},
+      {"health-aware faults", &piped, faulty(P::kPipeline, 107),
+       seeded_stream(piped, 300, 17), 0x2FDA942EF9CAA51Full},
+      {"fault-blind", &four, blind, seeded_stream(four, 300, 7),
+       0xD6396EE3797D5AD4ull},
+      {"fault-blind degrades, 0.5x load", &sixteen, drifting,
+       fifo_stream(sixteen, 0.5), 0x07B15C130D54521Eull},
+      {"autoscaler, 0.3x load", &eight, parking, fifo_stream(eight, 0.3),
+       0xF834ACF9192FE29Eull},
+  });
 }
 
 } // namespace
