@@ -1,0 +1,83 @@
+#include "runtime/free_time_index.hpp"
+
+#include <algorithm>
+
+#include "common/error.hpp"
+
+namespace pcnna::runtime {
+
+FreeTimeIndex::FreeTimeIndex(std::size_t pcus)
+    : slots_(pcus), idle_(pcus, 0) {}
+
+void FreeTimeIndex::unfile(std::size_t p) {
+  const Slot& s = slots_[p];
+  if (!s.listed) return;
+  Tier& tier = tiers_[s.tier];
+  if (idle_[p]) {
+    tier.idle[s.warm_after_idle].erase(p);
+  } else {
+    tier.busy[s.warm].erase({s.free_at, p});
+  }
+}
+
+void FreeTimeIndex::file(std::size_t p) {
+  const Slot& s = slots_[p];
+  if (!s.listed) return;
+  if (s.tier >= tiers_.size()) tiers_.resize(s.tier + 1);
+  Tier& tier = tiers_[s.tier];
+  idle_[p] = s.free_at < horizon_;
+  if (idle_[p]) {
+    tier.idle[s.warm_after_idle].insert(p);
+  } else {
+    tier.busy[s.warm].insert({s.free_at, p});
+  }
+}
+
+void FreeTimeIndex::update(std::size_t p, const Slot& slot) {
+  unfile(p);
+  slots_[p] = slot;
+  file(p);
+}
+
+void FreeTimeIndex::advance(double t) {
+  PCNNA_DCHECK(t >= horizon_);
+  horizon_ = t;
+  for (Tier& tier : tiers_) {
+    for (Busy& busy : tier.busy) {
+      while (!busy.empty() && busy.begin()->first < t) {
+        const std::size_t p = busy.begin()->second;
+        busy.erase(busy.begin());
+        idle_[p] = 1;
+        tier.idle[slots_[p].warm_after_idle].insert(p);
+      }
+    }
+  }
+}
+
+double FreeTimeIndex::earliest_free(double t) const {
+  PCNNA_DCHECK(t >= horizon_);
+  double best = std::numeric_limits<double>::infinity();
+  for (const Tier& tier : tiers_) {
+    // An idle PCU freed before the horizon, so it is free at t.
+    if (!tier.idle[0].empty() || !tier.idle[1].empty()) return t;
+    for (const Busy& busy : tier.busy) {
+      if (!busy.empty())
+        best = std::min(best, std::max(t, busy.begin()->first));
+    }
+  }
+  return best;
+}
+
+double FreeTimeIndex::next_free_after(double t) const {
+  PCNNA_DCHECK(t >= horizon_);
+  double best = std::numeric_limits<double>::infinity();
+  for (const Tier& tier : tiers_) {
+    for (const Busy& busy : tier.busy) {
+      const auto it = busy.upper_bound({t, slots_.size()});
+      if (it != busy.end()) best = std::min(best, it->first);
+    }
+  }
+  return best;
+}
+
+} // namespace pcnna::runtime

@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "core/planner.hpp"
 #include "core/stage_partitioner.hpp"
+#include "runtime/free_time_index.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace pcnna::runtime {
@@ -470,6 +471,7 @@ AdmissionResult PcuPool::simulate_admission(
   }
 
   AdmissionResult result;
+  result.schedule.reserve(requests.size());
   std::vector<double> free_at(pcus_.size(), 0.0);
   std::vector<std::size_t> served(pcus_.size(), 0);
   // Programmed model per PCU: which model's weights currently sit in the
@@ -616,6 +618,88 @@ AdmissionResult PcuPool::simulate_admission(
            degrade_factor(p);
   };
 
+  // Per-model capability: under kCapabilityAware (and kModelAffinity's
+  // least-loaded-capable fallback) a PCU must map the request's model with
+  // the fleet-minimum number of segmented bank passes.
+  const auto capable = [&](std::size_t p, std::uint32_t m) {
+    if (policy != DispatchPolicy::kCapabilityAware &&
+        policy != DispatchPolicy::kModelAffinity)
+      return true;
+    return pcus_[p].channel_split_passes(m) == min_split_passes_[m];
+  };
+
+  // --- free-PCU index (free_time_index.hpp) ---
+  //
+  // Every search for a free PCU goes through `index`: the FIFO pick, the
+  // next dispatch instant, and the next PCU-free event. A tier groups the
+  // PCUs that blind_service prices alike — same per-model interval, warmup,
+  // serial time and split passes (hence capability), same warmup policy,
+  // same degrade multiplier — so a fault that changes a PCU's multiplier
+  // moves it to another tier. A PCU is listed while it is active, not
+  // pulled from dispatch, and capable of some registered model.
+  const auto same_device = [&](std::size_t p, std::size_t q) {
+    const Pcu& a = pcus_[p];
+    const Pcu& b = pcus_[q];
+    if (a.warmup_policy() != b.warmup_policy()) return false;
+    for (std::uint32_t m = 0; m < min_split_passes_.size(); ++m) {
+      if (a.request_interval_overlapped(m) !=
+              b.request_interval_overlapped(m) ||
+          a.warmup_time(m) != b.warmup_time(m) ||
+          a.request_time_serial(m) != b.request_time_serial(m) ||
+          a.channel_split_passes(m) != b.channel_split_passes(m))
+        return false;
+    }
+    return true;
+  };
+  // device[p]: the first PCU priced like p, standing in for all of them
+  // in capability tests.
+  std::vector<std::size_t> device(pcus_.size());
+  std::vector<std::size_t> firsts;
+  std::vector<unsigned char> serves_any(pcus_.size(), 0);
+  for (std::size_t p = 0; p < pcus_.size(); ++p) {
+    const auto first =
+        std::find_if(firsts.begin(), firsts.end(),
+                     [&](std::size_t q) { return same_device(p, q); });
+    device[p] = first == firsts.end() ? p : *first;
+    if (device[p] == p) firsts.push_back(p);
+    for (std::uint32_t m = 0; m < min_split_passes_.size(); ++m)
+      if (capable(p, m)) serves_any[p] = 1;
+  }
+  // Tier k: the PCUs of device tier_device[k] at degrade multiplier
+  // tier_mult[k]. Fleets have few tiers, so a linear search finds them.
+  std::vector<std::size_t> tier_device;
+  std::vector<double> tier_mult;
+  const auto tier_of = [&](std::size_t p) {
+    std::size_t k = 0;
+    while (k < tier_device.size() &&
+           (tier_device[k] != device[p] || tier_mult[k] != degrade_mult[p]))
+      ++k;
+    if (k == tier_device.size()) {
+      tier_device.push_back(device[p]);
+      tier_mult.push_back(degrade_mult[p]);
+    }
+    return k;
+  };
+  FreeTimeIndex index(pcus_.size());
+  // The one write into the index: every change to a PCU's free time,
+  // served count, forced-cold flag, degrade multiplier, or dispatch
+  // eligibility is followed by reindex(p).
+  const auto reindex = [&](std::size_t p) {
+    const WarmupPolicy warmup = pcus_[p].warmup_policy();
+    // Mirrors warmup_charge: a served PCU not forced cold starts warm at its
+    // free time; only kPinnedAfterFirst stays warm across an idle gap.
+    const bool warm = double_buffer && served[p] > 0 && !force_cold[p] &&
+                      warmup != WarmupPolicy::kAlwaysCold;
+    index.update(p, {tier_of(p), free_at[p], warm,
+                     warm && warmup == WarmupPolicy::kPinnedAfterFirst,
+                     active[p] && !excluded[p] && serves_any[p] != 0});
+  };
+  for (std::size_t p = 0; p < pcus_.size(); ++p) reindex(p);
+  // kEarliestFree scores a PCU by its free time alone. Every other FIFO
+  // score charges the warmup an idle gap drains, so the index must rank
+  // PCUs that freed before `now` from `now` (advance_to keeps it there).
+  const bool rank_idle_from_now = policy != DispatchPolicy::kEarliestFree;
+
   // --- fault helpers (all no-ops / unreachable when !fault_active) ---
 
   // Close the current health-state dwell bucket of PCU p at time t.
@@ -721,9 +805,10 @@ AdmissionResult PcuPool::simulate_admission(
     served[p] += 1;
     force_cold[p] = 0;
     programmed[p] = r.model;
+    reindex(p);
     result.schedule.push_back({r.id, p, r.arrival, start, completion, warmup,
                                r.tenant, r.priority, r.deadline, r.model,
-                               swap, swapped, r.attempts});
+                               swap, swapped, r.attempts, {}});
     if (telemetry) telemetry->on_dispatch(swapped, /*pipelined=*/false);
     if (fault_active) {
       cancelled.push_back(0);
@@ -739,24 +824,6 @@ AdmissionResult PcuPool::simulate_admission(
         inflight[p] = {true, idx, completion, r};
       }
     }
-  };
-
-  // Per-model capability: under kCapabilityAware (and kModelAffinity's
-  // least-loaded-capable fallback) a PCU must map the request's model with
-  // the fleet-minimum number of segmented bank passes.
-  const auto capable = [&](std::size_t p, std::uint32_t m) {
-    if (policy != DispatchPolicy::kCapabilityAware &&
-        policy != DispatchPolicy::kModelAffinity)
-      return true;
-    return pcus_[p].channel_split_passes(m) == min_split_passes_[m];
-  };
-
-  // Model-independent eligibility for the free-event scan: a PCU capable
-  // of no registered model can never be dispatched to.
-  const auto scan_capable = [&](std::size_t p) {
-    for (std::uint32_t m = 0; m < min_split_passes_.size(); ++m)
-      if (capable(p, m)) return true;
-    return false;
   };
 
   // FIFO policies without shedding, autoscaler or faults commit each
@@ -776,22 +843,16 @@ AdmissionResult PcuPool::simulate_admission(
   // index. Deferred, only PCUs already free at t compete; a commit at
   // arrival also weighs busy PCUs, starting when they free.
   const auto pick_fifo = [&](std::uint32_t m, double t, const auto& elig) {
-    std::size_t best = pcus_.size();
-    double best_score = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < pcus_.size(); ++p) {
-      if (deferred && free_at[p] > t) continue;
-      const double start = std::max(t, free_at[p]);
-      const double score = policy == DispatchPolicy::kEarliestFree
-                               ? free_at[p]
-                               : start + blind_service(p, m, start);
-      // Eligibility last: it only matters for a candidate that would win,
-      // and skipping it elsewhere keeps the full-fleet scan tight.
-      if (score < best_score && elig(p)) {
-        best_score = score;
-        best = p;
-      }
-    }
-    return best;
+    return index.pick(
+        t, /*busy_ok=*/!deferred,
+        [&](std::size_t tier) { return capable(tier_device[tier], m); },
+        [&](std::size_t p) {
+          const double start = std::max(t, free_at[p]);
+          return policy == DispatchPolicy::kEarliestFree
+                     ? free_at[p]
+                     : start + blind_service(p, m, start);
+        },
+        elig);
   };
 
   // Deferred commitments: arrived requests wait in `pending` and every
@@ -822,6 +883,7 @@ AdmissionResult PcuPool::simulate_admission(
       last_event = t;
     }
     now = std::max(now, t);
+    if (rank_idle_from_now) index.advance(now);
   };
 
   // --- fault event machinery (only reached when fault_active) ---
@@ -837,7 +899,10 @@ AdmissionResult PcuPool::simulate_admission(
       case TimerKind::kDetectCrash:
         // The health system notices the crash: pull the dead PCU from
         // dispatch. (A recovery before detection clears this timer.)
-        if (health[p] == HealthState::kFailed) excluded[p] = 1;
+        if (health[p] == HealthState::kFailed) {
+          excluded[p] = 1;
+          reindex(p);
+        }
         return;
       case TimerKind::kDetectDegrade: {
         if (health[p] != HealthState::kDegraded) return;
@@ -856,6 +921,7 @@ AdmissionResult PcuPool::simulate_admission(
             repair_start + faults.repair_time + pcus_[p].swap_time(m);
         result.fault.repair_time += repair_end - repair_start;
         free_at[p] = std::max(free_at[p], repair_end);
+        reindex(p);
         timer_kind[p] = TimerKind::kRepairDone;
         timer_at[p] = repair_end;
         return;
@@ -870,6 +936,7 @@ AdmissionResult PcuPool::simulate_admission(
         degrade_mult[p] = 1.0;
         programmed[p] = kNoModel;
         force_cold[p] = 1;
+        reindex(p);
         result.fault.repairs += 1;
         result.fault.per_pcu[p].repairs += 1;
         bump_plan_epoch(p);
@@ -917,6 +984,7 @@ AdmissionResult PcuPool::simulate_admission(
         if (health[p] == HealthState::kFailed) return; // dead already
         result.fault.per_pcu[p].degrades += 1;
         degrade_mult[p] = std::max(degrade_mult[p], e.severity);
+        reindex(p);
         if (health[p] == HealthState::kHealthy) {
           close_health(p, e.time);
           health[p] = HealthState::kDegraded;
@@ -981,6 +1049,7 @@ AdmissionResult PcuPool::simulate_admission(
         programmed[p] = kNoModel;
         force_cold[p] = 1;
         free_at[p] = std::max(free_at[p], e.time);
+        reindex(p);
         timer_kind[p] = TimerKind::kNone;
         timer_at[p] = std::numeric_limits<double>::infinity();
         result.fault.repairs += 1;
@@ -1098,6 +1167,7 @@ AdmissionResult PcuPool::simulate_admission(
       const double idle_from = std::max(free_at[i], activated_at[i]);
       if (now - idle_from >= scaler.shrink_after_idle) {
         active[i] = 0;
+        reindex(i);
         active_count -= 1;
         result.autoscaler.scale_downs += 1;
       }
@@ -1119,6 +1189,7 @@ AdmissionResult PcuPool::simulate_admission(
       if (p == pcus_.size()) break; // every inactive PCU is unhealthy
       active[p] = 1;
       force_cold[p] = 1;
+      reindex(p);
       activated_at[p] = now;
       active_count += 1;
       result.autoscaler.scale_ups += 1;
@@ -1151,6 +1222,7 @@ AdmissionResult PcuPool::simulate_admission(
           if (active[p] || excluded[p] || reserved[p]) continue;
           active[p] = 1;
           force_cold[p] = 1;
+          reindex(p);
           activated_at[p] = now;
           active_count += 1;
           result.autoscaler.scale_ups += 1;
@@ -1190,9 +1262,9 @@ AdmissionResult PcuPool::simulate_admission(
         pending.insert(r);
         continue;
       }
+      // Capability is the tier filter; every listed PCU is eligible.
       const std::size_t p =
-          pick_fifo(r.model, r.arrival,
-                    [&](std::size_t c) { return capable(c, r.model); });
+          pick_fifo(r.model, r.arrival, [](std::size_t) { return true; });
       dispatch(r, p, std::max(r.arrival, free_at[p]));
     }
 
@@ -1228,13 +1300,9 @@ AdmissionResult PcuPool::simulate_admission(
       grow_on_backlog();
     }
 
-    // The next dispatch opportunity: the earliest instant an eligible
+    // The next dispatch opportunity: the earliest instant a listed
     // (active, not health-excluded, capable-of-some-model) PCU is free.
-    double free_time = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < pcus_.size(); ++p) {
-      if (!active[p] || excluded[p] || !scan_capable(p)) continue;
-      free_time = std::min(free_time, std::max(now, free_at[p]));
-    }
+    const double free_time = index.earliest_free(now);
     if (!std::isfinite(free_time)) {
       PCNNA_CHECK_MSG(fault_active,
                       "no active capable PCU to dispatch to — autoscaler "
@@ -1369,6 +1437,7 @@ AdmissionResult PcuPool::simulate_admission(
               force_cold[p] = 0;
               programmed[p] = r.model;
               pinned[gi][j] = 1;
+              reindex(p);
             }
             ScheduledService entry;
             entry.id = r.id;
@@ -1530,13 +1599,8 @@ AdmissionResult PcuPool::simulate_admission(
       // Advance to the next event that can change the picture — the next
       // arrival, the next strictly-later free time of an eligible PCU, or
       // (with faults) the next retry expiry or health event.
-      double next_event = next_arrival();
-      for (std::size_t p = 0; p < pcus_.size(); ++p) {
-        if (!active[p] || excluded[p] || !scan_capable(p) ||
-            free_at[p] <= now)
-          continue;
-        next_event = std::min(next_event, free_at[p]);
-      }
+      double next_event =
+          std::min(next_arrival(), index.next_free_after(now));
       if (fault_active) {
         if (!retries.empty())
           next_event = std::min(next_event, retries.begin()->ready);

@@ -478,6 +478,11 @@ class PcuPool {
   /// (!double_buffer) schedule never charges swaps at all, because every
   /// layer already pays its recalibration inline on every request.
   ///
+  /// Host cost: every search for a free PCU (the FIFO pick, the next
+  /// dispatch instant, the next PCU-free event) goes through a per-tier
+  /// FreeTimeIndex (free_time_index.hpp), O(tiers · log P) per dispatch
+  /// rather than a full-fleet scan, with bit-identical results.
+  ///
   /// Returns the schedule of *served* requests in dispatch order plus the
   /// shed, autoscaler, and fault outcomes; without shedding or fault
   /// injection the schedule covers every request.

@@ -74,8 +74,9 @@ void expect_contiguous_cover(const std::vector<StageRange>& ranges,
   EXPECT_EQ(costs.size(), ranges.back().op_end);
   for (std::size_t j = 0; j < ranges.size(); ++j) {
     EXPECT_LT(ranges[j].op_begin, ranges[j].op_end) << "stage " << j;
-    if (j > 0)
+    if (j > 0) {
       EXPECT_EQ(ranges[j - 1].op_end, ranges[j].op_begin) << "stage " << j;
+    }
     std::size_t sum = 0;
     for (std::size_t i = ranges[j].op_begin; i < ranges[j].op_end; ++i)
       sum += costs[i];
