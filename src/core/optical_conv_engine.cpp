@@ -378,12 +378,11 @@ void program_bank_soa(phot::WeightBank& bank, const LayerPlan& plan,
     if (quantize) w = quantize_weight(weight_dac, w);
     s.targets[i] = w;
   }
-  const std::vector<double> achieved = bank.calibrate(s.targets);
-  for (std::size_t i = 0; i < width; ++i)
-    cal_err.add(std::abs(achieved[i] - s.targets[i]));
-
   s.splits.resize(width);
-  bank.channel_splits_into(s.splits);
+  bank.calibrate(s.targets, s.splits);
+  for (std::size_t i = 0; i < width; ++i)
+    cal_err.add(std::abs((s.splits[i].drop - s.splits[i].thru) - s.targets[i]));
+
   double base = 0.0;
   for (const auto& split : s.splits)
     base += chain.dark_power * (split.drop - split.thru);
@@ -898,6 +897,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
   std::vector<double> powers;
+  std::vector<double> targets;
+  std::vector<phot::WeightBank::ChannelSplit> splits;
   for (std::size_t begin = 0; begin < in; begin += group_size) {
     const std::size_t end = std::min(begin + group_size, in);
     const std::size_t width = end - begin;
@@ -914,20 +915,20 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     for (std::size_t o = 0; o < out_n; ++o) {
       phot::WeightBank bank(grid, config_.bank, rng_);
       inject_stuck_faults(config_, bank, rng_, st);
-      std::vector<double> targets(width);
+      targets.resize(width);
       for (std::size_t i = 0; i < width; ++i) {
         double w = weights[o * in + begin + i] / w_absmax * denom;
         if (config_.enable_quantization) w = quantize_weight(weight_dac, w);
         targets[i] = w;
       }
-      const std::vector<double> achieved = bank.calibrate(targets);
+      splits.resize(width);
+      bank.calibrate(targets, splits);
       for (std::size_t i = 0; i < width; ++i)
-        cal_err.add(std::abs(achieved[i] - targets[i]));
+        cal_err.add(std::abs((splits[i].drop - splits[i].thru) - targets[i]));
       ++st.banks_built;
       st.total_heater_power += bank.total_heater_power();
       st.total_ring_area += bank.total_area();
 
-      const auto splits = bank.channel_splits();
       double p_drop = 0.0, p_thru = 0.0, base = 0.0;
       for (std::size_t i = 0; i < width; ++i) {
         p_drop += powers[i] * splits[i].drop;

@@ -1,11 +1,27 @@
 #include "photonics/weight_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/mathutil.hpp"
 
 namespace pcnna::phot {
+
+namespace {
+
+/// One ring of propagate()'s loop over a unit-power probe: `s.drop` is the
+/// power dropped so far, `s.thru` the power still on the bus. The probe
+/// starts at {0, 1}; finishing it adds the survivor to an empty through bus
+/// (thru = 0 + p), which is exactly propagate()'s arithmetic.
+inline void cross(WeightBank::ChannelSplit& s, double d, double t) {
+  s.drop += s.thru * d;
+  s.thru *= t * (1.0 - d);
+}
+
+constexpr WeightBank::ChannelSplit kUnitProbe{0.0, 1.0};
+
+} // namespace
 
 WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
     : grid_(grid),
@@ -25,12 +41,16 @@ WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
   }
   targets_.assign(grid.channels(), 0.0);
   drop_targets_.assign(grid.channels(), 0.0);
-  // Park every ring at weight zero.
+  // Park every ring at weight zero, then fill the drop-fraction cache.
   const double zero_drop = through_loss_factor_ / (1.0 + through_loss_factor_);
   for (std::size_t i = 0; i < rings_.size(); ++i) {
     drop_targets_[i] = zero_drop;
-    apply_drop_target(i, zero_drop);
+    tune_ring(i, zero_drop);
   }
+  const std::size_t n = rings_.size();
+  wavelengths_ = grid.wavelengths();
+  drop_.assign(config_.model_crosstalk ? n * n : n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) refresh_ring(i);
 }
 
 double WeightBank::max_weight() const {
@@ -47,7 +67,7 @@ double WeightBank::min_weight() const {
   return d_far * (1.0 + t) - t;
 }
 
-void WeightBank::apply_drop_target(std::size_t i, double drop_target) {
+bool WeightBank::tune_ring(std::size_t i, double drop_target) {
   MicroringResonator& ring = rings_[i];
   const double d_max = config_.ring.max_drop;
   // Keep strictly inside (0, d_max] so the Lorentzian inversion is finite.
@@ -59,13 +79,65 @@ void WeightBank::apply_drop_target(std::size_t i, double drop_target) {
   // make up the (blue-biased) natural-resonance offset.
   const double desired_resonance = grid_.wavelength(i) + detuning;
   const double shift = desired_resonance - ring.natural_resonance();
-  ring.set_thermal_shift(shift);
+  const double before = ring.thermal_shift();
+  return ring.set_thermal_shift(shift) != before;
+}
+
+void WeightBank::apply_drop_target(std::size_t i, double drop_target) {
+  if (tune_ring(i, drop_target)) refresh_ring(i);
+}
+
+void WeightBank::refresh_ring(std::size_t i) {
+  const MicroringResonator& ring = rings_[i];
+  if (!config_.model_crosstalk) {
+    drop_[i] = ring.drop_fraction(grid_.wavelength(i));
+    return;
+  }
+  // MicroringResonator::drop_fraction, operation for operation, with the
+  // ring's constants hoisted out of the channel loop (which vectorizes).
+  const std::size_t n = rings_.size();
+  const double half_width = 0.5 * ring.linewidth();
+  const double hw2 = half_width * half_width;
+  const double resonance = ring.resonance();
+  const double max_drop = ring.config().max_drop;
+  const double* wavelength = wavelengths_.data();
+  double* drop = drop_.data() + i;
+  for (std::size_t c = 0; c < n; ++c) {
+    const double delta = wavelength[c] - resonance;
+    drop[c * n] = max_drop * (hw2 / (delta * delta + hw2));
+  }
+}
+
+WeightBank::ChannelSplit WeightBank::probe(std::size_t ch) const {
+  ChannelSplit s = kUnitProbe;
+  if (config_.model_crosstalk) {
+    const std::size_t n = rings_.size();
+    const double* d = drop_.data() + ch * n;
+    for (std::size_t r = 0; r < n; ++r) cross(s, d[r], through_loss_factor_);
+  } else {
+    cross(s, drop_[ch], through_loss_factor_);
+  }
+  s.thru = 0.0 + s.thru;
+  return s;
 }
 
 std::vector<double> WeightBank::calibrate(std::span<const double> weights) {
+  std::vector<ChannelSplit> splits(rings_.size());
+  calibrate(weights, splits);
+  std::vector<double> achieved(splits.size());
+  for (std::size_t i = 0; i < splits.size(); ++i)
+    achieved[i] = splits[i].drop - splits[i].thru;
+  return achieved;
+}
+
+void WeightBank::calibrate(std::span<const double> weights,
+                           std::span<ChannelSplit> splits) {
   PCNNA_CHECK_MSG(weights.size() == rings_.size(),
                   "got " << weights.size() << " weights for " << rings_.size()
                          << " rings");
+  PCNNA_CHECK_MSG(splits.size() == rings_.size(),
+                  "split buffer has " << splits.size() << " entries, bank has "
+                                      << rings_.size());
   const double w_lo = min_weight();
   const double w_hi = max_weight();
   const double t = through_loss_factor_;
@@ -81,23 +153,21 @@ std::vector<double> WeightBank::calibrate(std::span<const double> weights) {
     // weight error. Crosstalk tails are small, so this converges quickly.
     for (int iter = 0; iter < config_.calibration_iterations; ++iter) {
       for (std::size_t i = 0; i < rings_.size(); ++i) {
-        const double err = targets_[i] - effective_weight(i);
+        const ChannelSplit s = probe(i);
+        const double err = targets_[i] - (s.drop - s.thru);
         drop_targets_[i] =
             clamp(drop_targets_[i] + err / (1.0 + t), 1e-9, config_.ring.max_drop);
         apply_drop_target(i, drop_targets_[i]);
       }
     }
   }
-  return effective_weights();
+  channel_splits_into(splits);
 }
 
 double WeightBank::effective_weight(std::size_t ch) const {
   PCNNA_CHECK(ch < rings_.size());
-  WdmSignal probe(rings_.size());
-  probe[ch] = 1.0;
-  double drop = 0.0, thru = 0.0;
-  propagate(probe, drop, thru);
-  return drop - thru;
+  const ChannelSplit s = probe(ch);
+  return s.drop - s.thru;
 }
 
 std::vector<double> WeightBank::effective_weights() const {
@@ -116,14 +186,20 @@ void WeightBank::channel_splits_into(std::span<ChannelSplit> out) const {
   PCNNA_CHECK_MSG(out.size() == rings_.size(),
                   "split buffer has " << out.size() << " entries, bank has "
                                       << rings_.size());
-  WdmSignal probe(rings_.size());
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    probe[i] = 1.0;
-    double drop = 0.0, thru = 0.0;
-    propagate(probe, drop, thru);
-    out[i] = ChannelSplit{drop, thru};
-    probe[i] = 0.0;
+  if (!config_.model_crosstalk) {
+    for (std::size_t c = 0; c < out.size(); ++c) out[c] = probe(c);
+    return;
   }
+  // probe() for every channel, with all channels' probes crossing the bus
+  // together, ring by ring: independent chains instead of one serial chain.
+  const std::size_t n = rings_.size();
+  const double t = through_loss_factor_;
+  std::fill(out.begin(), out.end(), kUnitProbe);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* d = drop_.data() + r;
+    for (std::size_t c = 0; c < n; ++c) cross(out[c], d[c * n], t);
+  }
+  for (ChannelSplit& s : out) s.thru = 0.0 + s.thru;
 }
 
 void WeightBank::propagate(const WdmSignal& in, double& drop_total,

@@ -11,6 +11,19 @@
 // drop fraction hits d_i = (w_i + t) / (1 + t) (t = through-path loss
 // factor); calibrate() inverts the Lorentzian, applies the quantized heater
 // drive, and optionally iterates to cancel inter-channel crosstalk.
+//
+// The bank caches every ring's drop fraction at every channel wavelength
+// (channels() x channels() doubles with crosstalk modeling — 72 KiB at 96
+// rings — and channels() without), refreshing a ring's entries only when its applied heater shift
+// actually changes. A probe of one channel — effective_weight, the
+// crosstalk-cancel passes, channel_splits — is then one pass over cached
+// values instead of channels() Lorentzians. With crosstalk, one calibrate
+// evaluates at most (1 + calibration_iterations) * channels()^2
+// Lorentzians (fewer when heater quantization or stuck rings leave shifts
+// unmoved) and reads (calibration_iterations + 1) * channels()^2 cached
+// values. propagate() and detect() still evaluate the rings directly: they
+// serve arbitrary input bundles and are the reference the cache is tested
+// against.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +50,12 @@ struct WeightBankConfig {
 
 class WeightBank {
  public:
+  /// Drop-bus and through-bus power fractions of one channel.
+  struct ChannelSplit {
+    double drop = 0.0;
+    double thru = 0.0;
+  };
+
   /// Build one ring per grid channel. `rng` drives fabrication disorder.
   WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng);
 
@@ -51,8 +70,15 @@ class WeightBank {
 
   /// Program the bank. `weights` must have one entry per channel, each in
   /// [min_weight(), max_weight()] — out-of-range targets are clamped.
-  /// Returns the achieved effective weights (measured through the physical
-  /// model, including tuning quantization and residual crosstalk).
+  /// Writes the calibrated bank's channel_splits() into `splits` (one entry
+  /// per channel); the achieved weight of channel i (measured through the
+  /// physical model, including tuning quantization and residual crosstalk)
+  /// is splits[i].drop - splits[i].thru, bitwise equal to
+  /// effective_weight(i).
+  void calibrate(std::span<const double> weights,
+                 std::span<ChannelSplit> splits);
+
+  /// calibrate() returning the achieved effective weights.
   std::vector<double> calibrate(std::span<const double> weights);
 
   /// Weight targets from the last calibrate() call (after clamping).
@@ -64,28 +90,22 @@ class WeightBank {
   /// Measured effective weights of all channels.
   std::vector<double> effective_weights() const;
 
-  /// Per-channel linear response: fraction of a channel's input power that
-  /// reaches the drop bus and the through bus (crosstalk included). The bank
-  /// is linear in the input powers, so
+  /// Per-channel linear response (read off the drop-fraction cache):
+  /// fraction of a channel's input power that reaches the drop bus and the
+  /// through bus (crosstalk included), bitwise equal to propagate() on a
+  /// unit probe of that channel. The bank is linear in the input powers, so
   ///   P_drop  = sum_i in[i] * split[i].drop,
   ///   P_thru  = sum_i in[i] * split[i].thru.
-  /// Callers on hot paths cache this after calibrate() instead of invoking
-  /// the O(channels^2) propagate() per sample.
-  struct ChannelSplit {
-    double drop = 0.0;
-    double thru = 0.0;
-  };
   std::vector<ChannelSplit> channel_splits() const;
 
-  /// Allocation-free variant for hot paths that snapshot bank responses
-  /// after every recalibration (e.g. the engine's per-channel allocation,
-  /// which retunes nc times per layer): writes the splits of all channels
-  /// into `out`, which must have channels() entries. Identical values to
-  /// channel_splits().
+  /// Allocation-free variant: writes the splits of all channels into `out`,
+  /// which must have channels() entries.
   void channel_splits_into(std::span<ChannelSplit> out) const;
 
   /// Split an input bundle into total drop-bus and through-bus power [W].
   /// With crosstalk modeling the bundle passes the rings sequentially.
+  /// Evaluates every ring's Lorentzian directly (O(channels^2)), not the
+  /// cache.
   void propagate(const WdmSignal& in, double& drop_total,
                  double& through_total) const;
 
@@ -112,12 +132,24 @@ class WeightBank {
   double total_area() const;
 
  private:
-  /// Solve drop fraction -> detuning and apply it to ring `i`.
+  /// Solve drop fraction -> detuning and command ring `i`'s heater.
+  /// Returns true when the applied shift changed.
+  bool tune_ring(std::size_t i, double drop_target);
+  /// tune_ring, then refresh ring `i`'s cached drop fractions if it moved.
   void apply_drop_target(std::size_t i, double drop_target);
+  /// Recompute ring `i`'s cached drop fraction at every channel it acts on.
+  void refresh_ring(std::size_t i);
+  /// Unit-probe response of channel `ch`, from the cache.
+  ChannelSplit probe(std::size_t ch) const;
 
   WdmGrid grid_;
   WeightBankConfig config_;
   std::vector<MicroringResonator> rings_;
+  /// Drop fraction of ring r at channel c: drop_[c * channels() + r] with
+  /// crosstalk modeling (channel-major, so one probe is one contiguous
+  /// pass); only each ring's own channel, drop_[c], without.
+  std::vector<double> drop_;
+  std::vector<double> wavelengths_; ///< grid_.wavelength(c) for every channel
   std::vector<double> targets_;
   std::vector<double> drop_targets_;
   BalancedPhotodiode pd_;
