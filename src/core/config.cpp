@@ -9,7 +9,9 @@ const char* ring_allocation_name(RingAllocation allocation) {
     case RingAllocation::kFullKernel: return "full-kernel";
     case RingAllocation::kPerChannel: return "per-channel";
   }
-  return "?";
+  // -Werror=switch makes the switch exhaustive at build time; reaching
+  // here means an out-of-range cast, not a missing case.
+  throw Error("invalid RingAllocation");
 }
 
 const char* timing_fidelity_name(TimingFidelity fidelity) {
@@ -17,7 +19,9 @@ const char* timing_fidelity_name(TimingFidelity fidelity) {
     case TimingFidelity::kPaper: return "paper";
     case TimingFidelity::kFull: return "full";
   }
-  return "?";
+  // -Werror=switch makes the switch exhaustive at build time; reaching
+  // here means an out-of-range cast, not a missing case.
+  throw Error("invalid TimingFidelity");
 }
 
 PcnnaConfig PcnnaConfig::paper_defaults() {

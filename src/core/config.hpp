@@ -34,6 +34,7 @@ enum class RingAllocation {
   kPerChannel,
 };
 
+/// Printable name; throws pcnna::Error for a value outside the enum.
 const char* ring_allocation_name(RingAllocation allocation);
 
 /// Which effects the execution-time model includes.
@@ -47,6 +48,7 @@ enum class TimingFidelity {
   kFull,
 };
 
+/// Printable name; throws pcnna::Error for a value outside the enum.
 const char* timing_fidelity_name(TimingFidelity fidelity);
 
 struct PcnnaConfig {

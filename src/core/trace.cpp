@@ -23,7 +23,9 @@ const char* trace_event_name(TraceEventKind kind) {
     case TraceEventKind::kSramStage: return "sram";
     case TraceEventKind::kDramWrite: return "dram-write";
   }
-  return "?";
+  // -Werror=switch makes the switch exhaustive at build time; reaching
+  // here means an out-of-range cast, not a missing case.
+  throw Error("invalid TraceEventKind");
 }
 
 std::uint64_t LayerTrace::count(TraceEventKind kind) const {

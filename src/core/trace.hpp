@@ -38,6 +38,7 @@ enum class TraceEventKind {
   kDramWrite,    ///< output feature-map burst to DRAM
 };
 
+/// Printable name; throws pcnna::Error for a value outside the enum.
 const char* trace_event_name(TraceEventKind kind);
 
 struct TraceEvent {

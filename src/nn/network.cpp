@@ -1,5 +1,6 @@
 #include "nn/network.hpp"
 
+#include "common/error.hpp"
 #include "nn/conv_ref.hpp"
 
 namespace pcnna::nn {
@@ -14,7 +15,9 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kFullyConnected: return "fc";
     case OpKind::kSoftmax: return "softmax";
   }
-  return "?";
+  // -Werror=switch makes the switch exhaustive at build time; reaching
+  // here means an out-of-range cast, not a missing case.
+  throw Error("invalid OpKind");
 }
 
 Network::Network(std::string name, Shape4 input)

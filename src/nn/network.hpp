@@ -27,7 +27,8 @@ enum class OpKind {
   kSoftmax,
 };
 
-/// Printable op name, e.g. "conv", "maxpool".
+/// Printable op name, e.g. "conv", "maxpool"; throws pcnna::Error for a
+/// value outside the enum.
 const char* op_kind_name(OpKind kind);
 
 struct PoolOp {

@@ -2,13 +2,18 @@
 // stay correct (or fail loudly) at the edges of the design space.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/config.hpp"
 #include "core/optical_conv_engine.hpp"
 #include "core/scheduler.hpp"
 #include "core/timing_model.hpp"
+#include "core/trace.hpp"
 #include "nn/conv_ref.hpp"
 #include "nn/models.hpp"
+#include "nn/network.hpp"
 #include "nn/synth.hpp"
+#include "runtime/pcu_pool.hpp"
 
 namespace {
 
@@ -144,6 +149,25 @@ TEST(EdgeConfigs, ModeratelyLowQStillCalibrates) {
   const auto out = engine.conv2d(input, weights, {}, 1, 0);
   const auto ref = nn::conv2d_direct(input, weights, {}, 1, 0);
   EXPECT_LT(nn::max_abs_diff(out, ref), 0.2 * ref.abs_max());
+}
+
+TEST(EnumNames, OutOfRangeValuesThrow) {
+  // Every enumerator has a name (-Werror=switch); a value cast from outside
+  // the enum is a caller bug and fails loudly instead of printing "?".
+  EXPECT_STREQ("per-channel",
+               core::ring_allocation_name(core::RingAllocation::kPerChannel));
+  EXPECT_STREQ("full", core::timing_fidelity_name(TimingFidelity::kFull));
+  EXPECT_STREQ("adc", core::trace_event_name(core::TraceEventKind::kAdcSample));
+  EXPECT_THROW(core::ring_allocation_name(static_cast<core::RingAllocation>(7)),
+               Error);
+  EXPECT_THROW(core::timing_fidelity_name(static_cast<TimingFidelity>(-1)),
+               Error);
+  EXPECT_THROW(nn::op_kind_name(static_cast<nn::OpKind>(99)), Error);
+  EXPECT_THROW(core::trace_event_name(static_cast<core::TraceEventKind>(42)),
+               Error);
+  EXPECT_THROW(
+      runtime::dispatch_policy_name(static_cast<runtime::DispatchPolicy>(6)),
+      Error);
 }
 
 } // namespace
