@@ -24,7 +24,7 @@ constexpr WeightBank::ChannelSplit kUnitProbe{0.0, 1.0};
 } // namespace
 
 WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
-    : grid_(grid),
+    : wavelengths_(grid.wavelengths()),
       config_(config),
       pd_(config.photodiode),
       through_loss_factor_(from_db(-config.ring.insertion_loss_db)) {
@@ -48,7 +48,6 @@ WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
     tune_ring(i, zero_drop);
   }
   const std::size_t n = rings_.size();
-  wavelengths_ = grid.wavelengths();
   drop_.assign(config_.model_crosstalk ? n * n : n, 0.0);
   for (std::size_t i = 0; i < n; ++i) refresh_ring(i);
 }
@@ -77,7 +76,7 @@ bool WeightBank::tune_ring(std::size_t i, double drop_target) {
   detuning = clamp(detuning, 0.0, config_.ring.max_detuning);
   // Park the resonance `detuning` red of the channel; the heater must also
   // make up the (blue-biased) natural-resonance offset.
-  const double desired_resonance = grid_.wavelength(i) + detuning;
+  const double desired_resonance = wavelengths_[i] + detuning;
   const double shift = desired_resonance - ring.natural_resonance();
   const double before = ring.thermal_shift();
   return ring.set_thermal_shift(shift) != before;
@@ -90,7 +89,7 @@ void WeightBank::apply_drop_target(std::size_t i, double drop_target) {
 void WeightBank::refresh_ring(std::size_t i) {
   const MicroringResonator& ring = rings_[i];
   if (!config_.model_crosstalk) {
-    drop_[i] = ring.drop_fraction(grid_.wavelength(i));
+    drop_[i] = ring.drop_fraction(wavelengths_[i]);
     return;
   }
   // MicroringResonator::drop_fraction, operation for operation, with the
@@ -212,7 +211,7 @@ void WeightBank::propagate(const WdmSignal& in, double& drop_total,
   for (std::size_t c = 0; c < in.channels(); ++c) {
     double p = in[c];
     if (p <= 0.0) continue;
-    const double lambda = grid_.wavelength(c);
+    const double lambda = wavelengths_[c];
     if (config_.model_crosstalk) {
       // The channel traverses every ring on the bus in order.
       for (const MicroringResonator& ring : rings_) {

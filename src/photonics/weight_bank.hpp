@@ -142,14 +142,13 @@ class WeightBank {
   /// Unit-probe response of channel `ch`, from the cache.
   ChannelSplit probe(std::size_t ch) const;
 
-  WdmGrid grid_;
+  std::vector<double> wavelengths_; ///< channel wavelengths of the grid
   WeightBankConfig config_;
   std::vector<MicroringResonator> rings_;
   /// Drop fraction of ring r at channel c: drop_[c * channels() + r] with
   /// crosstalk modeling (channel-major, so one probe is one contiguous
   /// pass); only each ring's own channel, drop_[c], without.
   std::vector<double> drop_;
-  std::vector<double> wavelengths_; ///< grid_.wavelength(c) for every channel
   std::vector<double> targets_;
   std::vector<double> drop_targets_;
   BalancedPhotodiode pd_;
