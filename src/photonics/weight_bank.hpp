@@ -14,16 +14,16 @@
 //
 // The bank caches every ring's drop fraction at every channel wavelength
 // (channels() x channels() doubles with crosstalk modeling — 72 KiB at 96
-// rings — and channels() without), refreshing a ring's entries only when its applied heater shift
-// actually changes. A probe of one channel — effective_weight, the
-// crosstalk-cancel passes, channel_splits — is then one pass over cached
-// values instead of channels() Lorentzians. With crosstalk, one calibrate
-// evaluates at most (1 + calibration_iterations) * channels()^2
-// Lorentzians (fewer when heater quantization or stuck rings leave shifts
-// unmoved) and reads (calibration_iterations + 1) * channels()^2 cached
-// values. propagate() and detect() still evaluate the rings directly: they
-// serve arbitrary input bundles and are the reference the cache is tested
-// against.
+// rings — and channels() without), refreshing a ring's entries only when
+// its applied heater shift actually changes. A probe of one channel —
+// effective_weight, the crosstalk-cancel passes, channel_splits — is then
+// one pass over cached values instead of channels() Lorentzians. With
+// crosstalk, one calibrate evaluates at most (1 + calibration_iterations) *
+// channels()^2 Lorentzians (fewer when heater quantization or stuck rings
+// leave shifts unmoved) and reads (calibration_iterations + 1) *
+// channels()^2 cached values. propagate() and detect() still evaluate the
+// rings directly: they serve arbitrary input bundles and are the reference
+// the cache is tested against.
 #pragma once
 
 #include <cstddef>
