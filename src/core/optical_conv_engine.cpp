@@ -1,7 +1,9 @@
 #include "core/optical_conv_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -79,6 +81,12 @@ struct CalibrationError {
     sum += err;
     if (err > max) max = err;
     ++count;
+  }
+  /// Fill the calibration-error mean and max of `st`.
+  void report(EngineStats& st) const {
+    if (count == 0) return;
+    st.mean_calibration_error = sum / static_cast<double>(count);
+    st.max_calibration_error = max;
   }
 };
 
@@ -343,40 +351,76 @@ void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
   pool->run(tile);
 }
 
-/// Size the transposed SoA program arrays for one layer plan (K response
-/// chains per group slice).
-void size_bank_soa(const LayerPlan& plan, EngineScratch& s) {
-  const std::size_t K = plan.layer.K;
-  const std::size_t G = plan.groups.size();
-  s.group_base.assign(G + 1, 0);
-  for (std::size_t g = 0; g < G; ++g)
-    s.group_base[g + 1] = s.group_base[g] + plan.groups[g].size() * K;
-  s.drop_t.assign(s.group_base[G], 0.0);
-  s.thru_t.assign(s.group_base[G], 0.0);
-  s.baseline.assign(G * K, 0.0);
+/// One layer's calibrated bank program: everything bank set-up produces.
+/// Transposed structure-of-arrays layout with one block per programming
+/// pass (one for full-kernel, one per input channel for per-channel, one
+/// per input slice for fully_connected): in pass block b the drop/through
+/// response of group g, channel i, kernel k lives at
+/// b * pass_size() + group_base[g] + i * K + k (contiguous in k so the
+/// per-pixel MAC keeps K independent accumulation chains on contiguous
+/// memory), and the balanced baseline current at
+/// baseline[(b * groups() + g) * K + k].
+struct ProgrammedLayer {
+  std::vector<double> drop_t, thru_t, baseline;
+  std::vector<std::size_t> group_base;
+  std::size_t K = 0;
+  std::size_t passes = 0;
+  std::size_t bytes = 0; ///< program_bytes() of the layout
+  /// measured_usable_range of one group-width bank.
+  double usable = 0.0;
+  /// Set-up counters a warm call replays: banks_built, stuck_rings,
+  /// total_heater_power, total_ring_area and the calibration-error mean
+  /// and max.
+  EngineStats setup;
+
+  std::size_t groups() const { return group_base.size() - 1; }
+  std::size_t pass_size() const { return group_base.back(); }
+  /// Block of pass `c`: a program sized for one pass (a layer the store
+  /// does not keep) reprograms its only block for every pass.
+  std::size_t block(std::size_t c) const { return passes == 1 ? 0 : c; }
+};
+
+/// Bytes of a program of `passes` passes over `groups`, K banks per group.
+std::size_t program_bytes(const std::vector<GroupSlice>& groups,
+                          std::size_t K, std::size_t passes) {
+  std::size_t rings = 0;
+  for (const GroupSlice& g : groups) rings += g.size();
+  return passes * (2 * rings + groups.size()) * K * sizeof(double) +
+         (groups.size() + 1) * sizeof(std::size_t);
 }
 
-/// Program one bank with its weight slice (channel_offset = c * m * m for
-/// the per-channel allocation, 0 for full-kernel) and flatten the
-/// calibrated response into the transposed SoA arrays. Identical value
-/// sequence to the reference engine's per-bank programming block.
-void program_bank_soa(phot::WeightBank& bank, const LayerPlan& plan,
-                      std::size_t g, std::size_t k,
-                      std::size_t channel_offset, const nn::Tensor& weights,
-                      double w_absmax, double denom, bool quantize,
+void size_program(const std::vector<GroupSlice>& groups, std::size_t K,
+                  std::size_t passes, ProgrammedLayer& prog) {
+  const std::size_t G = groups.size();
+  prog.group_base.assign(G + 1, 0);
+  for (std::size_t g = 0; g < G; ++g)
+    prog.group_base[g + 1] = prog.group_base[g] + groups[g].size() * K;
+  prog.K = K;
+  prog.passes = passes;
+  prog.bytes = program_bytes(groups, K, passes);
+  prog.drop_t.assign(passes * prog.pass_size(), 0.0);
+  prog.thru_t.assign(passes * prog.pass_size(), 0.0);
+  prog.baseline.assign(passes * G * K, 0.0);
+}
+
+/// Program one bank with its weight slice `w` (bank.channels() values) and
+/// flatten the calibrated response into pass block `b`, group g, kernel k
+/// of `prog`. The only bank-programming routine of the engine: identical
+/// value sequence to the reference engine's per-bank programming block.
+void program_bank_soa(phot::WeightBank& bank, const double* w, std::size_t g,
+                      std::size_t k, std::size_t b, double w_absmax,
+                      double denom, bool quantize,
                       const elec::Dac& weight_dac, const AnalogChain& chain,
-                      EngineScratch& s, CalibrationError& cal_err) {
-  const GroupSlice& slice = plan.groups[g];
-  const std::size_t width = slice.size();
-  const std::size_t K = plan.layer.K;
-  const std::size_t n_kernel = plan.layer.kernel_size();
+                      EngineScratch& s, ProgrammedLayer& prog,
+                      CalibrationError& cal_err) {
+  const std::size_t width = bank.channels();
+  const std::size_t K = prog.K;
 
   s.targets.resize(width);
   for (std::size_t i = 0; i < width; ++i) {
-    double w = weights[k * n_kernel + channel_offset + slice.begin + i] /
-               w_absmax * denom;
-    if (quantize) w = quantize_weight(weight_dac, w);
-    s.targets[i] = w;
+    double t = w[i] / w_absmax * denom;
+    if (quantize) t = quantize_weight(weight_dac, t);
+    s.targets[i] = t;
   }
   s.splits.resize(width);
   bank.calibrate(s.targets, s.splits);
@@ -386,17 +430,150 @@ void program_bank_soa(phot::WeightBank& bank, const LayerPlan& plan,
   double base = 0.0;
   for (const auto& split : s.splits)
     base += chain.dark_power * (split.drop - split.thru);
-  s.baseline[g * K + k] = chain.resp * base;
-  const std::size_t gb = s.group_base[g];
+  prog.baseline[(b * prog.groups() + g) * K + k] = chain.resp * base;
+  const std::size_t gb = b * prog.pass_size() + prog.group_base[g];
   for (std::size_t i = 0; i < width; ++i) {
-    s.drop_t[gb + i * K + k] = s.splits[i].drop;
-    s.thru_t[gb + i * K + k] = s.splits[i].thru;
+    prog.drop_t[gb + i * K + k] = s.splits[i].drop;
+    prog.thru_t[gb + i * K + k] = s.splits[i].thru;
   }
 }
 
-/// Fill the read-only sweep context from already-sized scratch. The single
-/// home of the laser-RIN sigma expression (must mirror LaserDiode::emit
-/// bit for bit).
+/// Replay a program's set-up counters into one call's stats (whose set-up
+/// fields are still zero, so the sums are exact).
+void add_setup(EngineStats& st, const EngineStats& setup) {
+  st.banks_built += setup.banks_built;
+  st.stuck_rings += setup.stuck_rings;
+  st.total_heater_power += setup.total_heater_power;
+  st.total_ring_area += setup.total_ring_area;
+  st.mean_calibration_error = setup.mean_calibration_error;
+  st.max_calibration_error = setup.max_calibration_error;
+}
+
+enum class ProgramKind : std::uint8_t {
+  kFullKernel,
+  kPerChannel,
+  kFullyConnected
+};
+
+/// What bank programming reads besides the engine's fixed config.
+struct ProgramKey {
+  ProgramKind kind = ProgramKind::kFullKernel;
+  nn::Shape4 shape;
+  std::uint64_t digest = 0; ///< weight_digest of the weight tensor
+  std::uint64_t group_size = 0;
+  std::vector<GroupSlice> groups;
+
+  friend bool operator==(const ProgramKey&, const ProgramKey&) = default;
+};
+
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Word-at-a-time digest of the values' bit patterns: four independent
+/// multiply-rotate lanes, then a SplitMix64 fold. Every step is a bijection
+/// of its state for a fixed input word, so changing any one value always
+/// changes the digest.
+std::uint64_t weight_digest(std::span<const double> values) {
+  constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+  std::uint64_t lane[4] = {kP1, kP2, ~kP1, ~kP2};
+  const auto round = [](std::uint64_t h, double v) {
+    return std::rotl(h ^ (std::bit_cast<std::uint64_t>(v) * kP2), 31) * kP1;
+  };
+  const std::size_t n = values.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = round(lane[0], values[i]);
+    lane[1] = round(lane[1], values[i + 1]);
+    lane[2] = round(lane[2], values[i + 2]);
+    lane[3] = round(lane[3], values[i + 3]);
+  }
+  for (; i < n; ++i) lane[i % 4] = round(lane[i % 4], values[i]);
+  std::uint64_t h = n;
+  for (const std::uint64_t l : lane) h = mix64(h ^ l);
+  return h;
+}
+
+} // namespace
+
+/// The programmed-layer store of one engine: stored programs in insertion
+/// order, never evicted, at most OpticalConvEngine::kProgramStoreCap bytes.
+class ProgramStore {
+ public:
+  const ProgrammedLayer* find(const ProgramKey& key) const {
+    for (const Entry& e : entries_)
+      if (e.key == key) return &e.program;
+    return nullptr;
+  }
+  bool fits(std::size_t bytes) const {
+    return bytes_ + bytes <= OpticalConvEngine::kProgramStoreCap;
+  }
+  void insert(ProgramKey key, ProgrammedLayer program) {
+    bytes_ += program.bytes;
+    entries_.push_back({std::move(key), std::move(program)});
+  }
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  struct Entry {
+    ProgramKey key;
+    ProgrammedLayer program;
+  };
+  std::vector<Entry> entries_;
+  std::size_t bytes_ = 0;
+};
+
+namespace {
+
+/// Where one call's bank program comes from.
+struct ProgramSource {
+  const ProgrammedLayer* stored = nullptr; ///< warm: read this in place
+  bool keep = false; ///< cold, and the new program joins the store after
+  ProgramKey key;    ///< filled when set-up is storable
+};
+
+/// The store lookup every programming site shares. Set-up is a pure
+/// function of the key (and the engine's fixed config) exactly when it
+/// draws nothing from the RNG: no fabrication disorder, no stuck rings.
+/// Otherwise, or when the full program (`bytes`) could not fit the cap,
+/// the call programs cold and stores nothing.
+ProgramSource find_program(const PcnnaConfig& cfg, const ProgramStore* store,
+                           ProgramKind kind, const nn::Tensor& weights,
+                           std::uint64_t group_size,
+                           const std::vector<GroupSlice>& groups,
+                           std::size_t bytes) {
+  ProgramSource src;
+  const bool pure =
+      cfg.bank.ring.fab_sigma == 0.0 && cfg.stuck_ring_rate == 0.0;
+  if (!pure || bytes > OpticalConvEngine::kProgramStoreCap) return src;
+  src.key = ProgramKey{kind, weights.shape(), weight_digest(weights.data()),
+                       group_size, groups};
+  src.stored = store ? store->find(src.key) : nullptr;
+  src.keep = !src.stored && (!store || store->fits(bytes));
+  return src;
+}
+
+void keep_program(std::unique_ptr<ProgramStore>& store, ProgramKey key,
+                  ProgrammedLayer program) {
+  if (!store) store = std::make_unique<ProgramStore>();
+  store->insert(std::move(key), std::move(program));
+}
+
+/// Point the sweep at pass block `b` of `prog`.
+void point_at_block(SweepCtx& ctx, const ProgrammedLayer& prog,
+                    std::size_t b) {
+  ctx.drop_t = prog.drop_t.data() + b * prog.pass_size();
+  ctx.thru_t = prog.thru_t.data() + b * prog.pass_size();
+  ctx.baseline = prog.baseline.data() + b * prog.groups() * prog.K;
+  ctx.group_base = prog.group_base.data();
+}
+
+/// Fill the read-only sweep context from already-sized scratch (the bank
+/// program is attached by point_at_block). The single home of the
+/// laser-RIN sigma expression (must mirror LaserDiode::emit bit for bit).
 SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
                         const AnalogChain& chain,
                         const phot::BalancedPhotodiode& pd,
@@ -411,10 +588,6 @@ SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
   ctx.transfer_pad = s.transfer_pad;
   ctx.patch = s.patch.data();
   ctx.n_kernel = plan.layer.kernel_size();
-  ctx.drop_t = s.drop_t.data();
-  ctx.thru_t = s.thru_t.data();
-  ctx.baseline = s.baseline.data();
-  ctx.group_base = s.group_base.data();
   ctx.K = plan.layer.K;
   const std::size_t side = plan.layer.output_side();
   ctx.pixels = side * side;
@@ -524,6 +697,15 @@ double measured_usable_range(phot::WeightBank& bank) {
 OpticalConvEngine::OpticalConvEngine(PcnnaConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
   config_.validate();
+}
+
+OpticalConvEngine::~OpticalConvEngine() = default;
+OpticalConvEngine::OpticalConvEngine(OpticalConvEngine&&) noexcept = default;
+OpticalConvEngine& OpticalConvEngine::operator=(OpticalConvEngine&&) noexcept =
+    default;
+
+std::size_t OpticalConvEngine::programmed_bytes() const {
+  return store_ ? store_->bytes() : 0;
 }
 
 std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
@@ -657,32 +839,47 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
-  // Probe the representable weight range with a scratch bank of the same
-  // width as the widest group.
-  const double usable =
-      measured_usable_range(config_, plan.group_size, rng_);
-  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
-  const double denom = 0.95 * usable;
+  const std::size_t G = plan.groups.size();
+  ProgramSource src = find_program(
+      config_, store_.get(), ProgramKind::kFullKernel, weights,
+      plan.group_size, plan.groups, program_bytes(plan.groups, K, 1));
+  ProgrammedLayer fresh;
+  if (!src.stored) {
+    // Probe the representable weight range with a scratch bank of the same
+    // width as the widest group.
+    fresh.usable = measured_usable_range(config_, plan.group_size, rng_);
+    PCNNA_CHECK_MSG(fresh.usable > 0.0,
+                    "weight bank has no usable signed range");
+  }
+  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
+  const double denom = 0.95 * prog.usable;
   const double recover = x_scale * w_absmax / denom;
 
-  // --- Program every bank segment once (weights are fixed for the layer),
-  // flattening calibrated responses straight into transposed SoA form.
-  const std::size_t G = plan.groups.size();
-  size_bank_soa(plan, scratch_);
-  CalibrationError cal_err;
-  for (std::size_t g = 0; g < G; ++g) {
-    const phot::WdmGrid grid(plan.groups[g].size());
-    for (std::size_t k = 0; k < K; ++k) {
-      phot::WeightBank bank(grid, config_.bank, rng_);
-      inject_stuck_faults(config_, bank, rng_, stats);
-      program_bank_soa(bank, plan, g, k, /*channel_offset=*/0, weights,
-                       w_absmax, denom, config_.enable_quantization,
-                       weight_dac, chain, scratch_, cal_err);
-      ++stats.banks_built;
-      stats.total_heater_power += bank.total_heater_power();
-      stats.total_ring_area += bank.total_area();
+  if (!src.stored) {
+    // --- Program every bank segment once (weights are fixed for the
+    // layer), flattening calibrated responses straight into transposed SoA
+    // form.
+    size_program(plan.groups, K, 1, fresh);
+    CalibrationError cal_err;
+    for (std::size_t g = 0; g < G; ++g) {
+      const phot::WdmGrid grid(plan.groups[g].size());
+      for (std::size_t k = 0; k < K; ++k) {
+        phot::WeightBank bank(grid, config_.bank, rng_);
+        inject_stuck_faults(config_, bank, rng_, fresh.setup);
+        program_bank_soa(bank,
+                         weights.data().data() + k * n_kernel +
+                             plan.groups[g].begin,
+                         g, k, /*b=*/0, w_absmax, denom,
+                         config_.enable_quantization, weight_dac, chain,
+                         scratch_, fresh, cal_err);
+        ++fresh.setup.banks_built;
+        fresh.setup.total_heater_power += bank.total_heater_power();
+        fresh.setup.total_ring_area += bank.total_area();
+      }
     }
+    cal_err.report(fresh.setup);
   }
+  add_setup(stats, prog.setup);
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
   // Per-layer ADC range calibration from weight and input statistics.
@@ -701,9 +898,10 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   const std::size_t workers =
       prepare_workers(pixels, pd_draw_count_fixed(config_.bank.photodiode),
                       plan.group_size, K);
-  const SweepCtx ctx =
+  SweepCtx ctx =
       make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
                      /*accumulate=*/false, bias, out, scratch_);
+  point_at_block(ctx, prog, 0);
 
   sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
   stats.patches_streamed += pixels;
@@ -714,10 +912,7 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
     stats.adc_conversions += w.adc_conversions;
   }
 
-  if (cal_err.count > 0) {
-    stats.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
-    stats.max_calibration_error = cal_err.max;
-  }
+  if (src.keep) keep_program(store_, std::move(src.key), std::move(fresh));
   return out;
 }
 
@@ -728,6 +923,7 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
                                               EngineStats& stats) {
   const nn::ConvLayerParams& layer = plan.layer;
   const std::size_t K = layer.K;
+  const std::size_t n_kernel = layer.kernel_size();
   const std::size_t per_channel = layer.m * layer.m;
   const std::size_t side = layer.output_side();
   const std::size_t pixels = side * side;
@@ -753,25 +949,37 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
-  const double usable =
-      measured_usable_range(config_, plan.group_size, rng_);
-  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
-  const double denom = 0.95 * usable;
+  const std::size_t G = plan.groups.size();
+  ProgramSource src = find_program(
+      config_, store_.get(), ProgramKind::kPerChannel, weights,
+      plan.group_size, plan.groups, program_bytes(plan.groups, K, layer.nc));
+  ProgrammedLayer fresh;
+  if (!src.stored) {
+    fresh.usable = measured_usable_range(config_, plan.group_size, rng_);
+    PCNNA_CHECK_MSG(fresh.usable > 0.0,
+                    "weight bank has no usable signed range");
+  }
+  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
+  const double denom = 0.95 * prog.usable;
   const double recover = x_scale * w_absmax / denom;
 
   // Persistent banks (K per group slice of the m*m block), retuned per
-  // channel pass — the physical rings live across recalibrations.
-  const std::size_t G = plan.groups.size();
-  std::vector<std::vector<phot::WeightBank>> banks(G);
-  for (std::size_t g = 0; g < G; ++g) {
-    const phot::WdmGrid grid(plan.groups[g].size());
-    banks[g].reserve(K);
-    for (std::size_t k = 0; k < K; ++k) {
-      banks[g].emplace_back(grid, config_.bank, rng_);
-      inject_stuck_faults(config_, banks[g].back(), rng_, stats);
-      ++stats.banks_built;
-      stats.total_ring_area += banks[g].back().total_area();
+  // channel pass — the physical rings live across recalibrations. A stored
+  // program holds every pass; otherwise one block is reprogrammed per pass.
+  std::vector<std::vector<phot::WeightBank>> banks;
+  if (!src.stored) {
+    banks.resize(G);
+    for (std::size_t g = 0; g < G; ++g) {
+      const phot::WdmGrid grid(plan.groups[g].size());
+      banks[g].reserve(K);
+      for (std::size_t k = 0; k < K; ++k) {
+        banks[g].emplace_back(grid, config_.bank, rng_);
+        inject_stuck_faults(config_, banks[g].back(), rng_, fresh.setup);
+        ++fresh.setup.banks_built;
+        fresh.setup.total_ring_area += banks[g].back().total_area();
+      }
     }
+    size_program(plan.groups, K, src.keep ? layer.nc : 1, fresh);
   }
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
@@ -782,7 +990,6 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, per_channel, mean_x_sq, mean_w_sq);
 
-  size_bank_soa(plan, scratch_);
   precompute_transfer(input, x_scale, config_.enable_quantization, input_dac,
                       mzm, scratch_);
   build_patch_map(layer, input.shape(), scratch_);
@@ -799,15 +1006,21 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   // Channel-major execution: retune, then sweep all locations.
   CalibrationError cal_err;
   for (std::size_t c = 0; c < layer.nc; ++c) {
-    for (std::size_t g = 0; g < G; ++g) {
-      for (std::size_t k = 0; k < K; ++k) {
-        program_bank_soa(banks[g][k], plan, g, k,
-                         /*channel_offset=*/c * per_channel, weights,
-                         w_absmax, denom, config_.enable_quantization,
-                         weight_dac, chain, scratch_, cal_err);
+    const std::size_t b = prog.block(c);
+    if (!src.stored) {
+      for (std::size_t g = 0; g < G; ++g) {
+        for (std::size_t k = 0; k < K; ++k) {
+          program_bank_soa(banks[g][k],
+                           weights.data().data() + k * n_kernel +
+                               c * per_channel + plan.groups[g].begin,
+                           g, k, b, w_absmax, denom,
+                           config_.enable_quantization, weight_dac, chain,
+                           scratch_, fresh, cal_err);
+        }
       }
     }
 
+    point_at_block(ctx, prog, b);
     ctx.patch_offset = c * per_channel;
     sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
     stats.patches_streamed += pixels;
@@ -824,17 +1037,16 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
 
   for (const auto& group : banks)
     for (const auto& bank : group)
-      stats.total_heater_power += bank.total_heater_power();
+      fresh.setup.total_heater_power += bank.total_heater_power();
+  cal_err.report(fresh.setup);
+  add_setup(stats, prog.setup);
 
   for (const EngineScratch::Worker& w : scratch_.workers) {
     stats.optical_passes += w.optical_passes;
     stats.adc_conversions += w.adc_conversions;
   }
 
-  if (cal_err.count > 0) {
-    stats.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
-    stats.max_calibration_error = cal_err.max;
-  }
+  if (src.keep) keep_program(store_, std::move(src.key), std::move(fresh));
   return out;
 }
 
@@ -876,11 +1088,24 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
+  // Each input slice is one programming pass of out_n banks, one group
+  // wide.
   const std::size_t group_size =
       std::min<std::size_t>(config_.max_wavelengths, in);
-  const double usable = measured_usable_range(config_, group_size, rng_);
-  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
-  const double denom = 0.95 * usable;
+  const std::size_t slices = (in + group_size - 1) / group_size;
+  const std::vector<GroupSlice> slice_group{GroupSlice{0, group_size}};
+  ProgramSource src = find_program(
+      config_, store_.get(), ProgramKind::kFullyConnected, weights,
+      group_size, slice_group, program_bytes(slice_group, out_n, slices));
+  ProgrammedLayer fresh;
+  if (!src.stored) {
+    fresh.usable = measured_usable_range(config_, group_size, rng_);
+    PCNNA_CHECK_MSG(fresh.usable > 0.0,
+                    "weight bank has no usable signed range");
+    size_program(slice_group, out_n, src.keep ? slices : 1, fresh);
+  }
+  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
+  const double denom = 0.95 * prog.usable;
   const double recover = x_scale * w_absmax / denom;
   st.wavelengths_used = group_size;
   st.weight_dac_conversions = weights.size();
@@ -897,9 +1122,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
   std::vector<double> powers;
-  std::vector<double> targets;
-  std::vector<phot::WeightBank::ChannelSplit> splits;
-  for (std::size_t begin = 0; begin < in; begin += group_size) {
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::size_t begin = s * group_size;
     const std::size_t end = std::min(begin + group_size, in);
     const std::size_t width = end - begin;
     const phot::WdmGrid grid(width);
@@ -912,34 +1136,35 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
       powers[i] = mzm.modulate(laser.emit(bw, rng_) * chain.bcast, x);
     }
 
+    const std::size_t b = prog.block(s);
+    const double* drop = prog.drop_t.data() + b * prog.pass_size();
+    const double* thru = prog.thru_t.data() + b * prog.pass_size();
+    const double* base = prog.baseline.data() + b * out_n;
     for (std::size_t o = 0; o < out_n; ++o) {
-      phot::WeightBank bank(grid, config_.bank, rng_);
-      inject_stuck_faults(config_, bank, rng_, st);
-      targets.resize(width);
-      for (std::size_t i = 0; i < width; ++i) {
-        double w = weights[o * in + begin + i] / w_absmax * denom;
-        if (config_.enable_quantization) w = quantize_weight(weight_dac, w);
-        targets[i] = w;
+      if (!src.stored) {
+        phot::WeightBank bank(grid, config_.bank, rng_);
+        inject_stuck_faults(config_, bank, rng_, fresh.setup);
+        program_bank_soa(bank, weights.data().data() + o * in + begin,
+                         /*g=*/0, o, b, w_absmax, denom,
+                         config_.enable_quantization, weight_dac, chain,
+                         scratch_, fresh, cal_err);
+        ++fresh.setup.banks_built;
+        fresh.setup.total_heater_power += bank.total_heater_power();
+        fresh.setup.total_ring_area += bank.total_area();
       }
-      splits.resize(width);
-      bank.calibrate(targets, splits);
-      for (std::size_t i = 0; i < width; ++i)
-        cal_err.add(std::abs((splits[i].drop - splits[i].thru) - targets[i]));
-      ++st.banks_built;
-      st.total_heater_power += bank.total_heater_power();
-      st.total_ring_area += bank.total_area();
 
-      double p_drop = 0.0, p_thru = 0.0, base = 0.0;
+      double p_drop = 0.0, p_thru = 0.0;
       for (std::size_t i = 0; i < width; ++i) {
-        p_drop += powers[i] * splits[i].drop;
-        p_thru += powers[i] * splits[i].thru;
-        base += chain.dark_power * (splits[i].drop - splits[i].thru);
+        p_drop += powers[i] * drop[i * out_n + o];
+        p_thru += powers[i] * thru[i * out_n + o];
       }
       const double current = pd.detect(p_drop, p_thru, bw, rng_);
-      acc[o] += (current - chain.resp * base) / chain.denom_current;
+      acc[o] += (current - base[o]) / chain.denom_current;
     }
     ++st.optical_passes;
   }
+  cal_err.report(fresh.setup);
+  add_setup(st, prog.setup);
 
   for (std::size_t o = 0; o < out_n; ++o) {
     double v = acc[o];
@@ -948,10 +1173,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     out[o] = v * recover + (bias.empty() ? 0.0 : bias[o]);
   }
 
-  if (cal_err.count > 0) {
-    st.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
-    st.max_calibration_error = cal_err.max;
-  }
+  if (src.keep) keep_program(store_, std::move(src.key), std::move(fresh));
   return out;
 }
 

@@ -29,6 +29,10 @@
 //    flattened into transposed drop/through arrays so the per-pixel MAC is
 //    a branch-free linear pass over contiguous memory with K independent
 //    accumulation chains;
+//  * a programmed-layer store — when bank set-up draws nothing from the
+//    RNG, a layer's program is kept per engine and read in place by later
+//    calls with the same weights, bit-identical to reprogramming it (see
+//    programmed_bytes());
 //  * optional deterministic intra-image parallelism — kernel locations are
 //    partitioned into fixed tiles across PcnnaConfig::engine_threads
 //    workers. Outputs are bit-identical for every thread count: per-pixel
@@ -130,14 +134,9 @@ struct EngineScratch {
   /// element index, or -1 for zero padding. Receptive-field order matches
   /// nn::receptive_field (channel-major, then ky, then kx).
   std::vector<std::int32_t> patch;
-  /// Transposed structure-of-arrays bank programs: for group g, channel i,
-  /// kernel k, the drop/through response lives at
-  /// group_base[g] + i * K + k (contiguous in k so the per-pixel MAC keeps
-  /// K independent accumulation chains on contiguous memory).
-  std::vector<double> drop_t, thru_t;
-  /// Balanced baseline current per (group, kernel): baseline[g * K + k].
-  std::vector<double> baseline;
-  std::vector<std::size_t> group_base;
+  // The calibrated bank programs the sweep reads are not scratch: they live
+  // in the engine's programmed-layer store (or, for a layer the store does
+  // not keep, in a program local to the call), read in place.
   /// Pre-drawn standard normals for the parallel noisy path, in sequential
   /// pixel order (see docs/architecture.md for the determinism argument).
   std::vector<double> noise_z;
@@ -158,9 +157,22 @@ struct EngineScratch {
   std::vector<Worker> workers;
 };
 
+/// Programmed-layer store of one engine (optical_conv_engine.cpp).
+class ProgramStore;
+
 class OpticalConvEngine {
  public:
+  /// Byte cap of the programmed-layer store (see programmed_bytes()). The
+  /// store never evicts: a layer whose program would take it past the cap
+  /// is programmed cold on every call. LeNet-5 takes 0.8 MB and AlexNet's
+  /// five conv layers 60.2 MB; AlexNet's FC layers offloaded with
+  /// accelerate_fc (~0.9 GB) stay cold.
+  static constexpr std::size_t kProgramStoreCap = std::size_t{64} << 20;
+
   explicit OpticalConvEngine(PcnnaConfig config);
+  ~OpticalConvEngine();
+  OpticalConvEngine(OpticalConvEngine&&) noexcept;
+  OpticalConvEngine& operator=(OpticalConvEngine&&) noexcept;
 
   const PcnnaConfig& config() const { return config_; }
 
@@ -200,6 +212,19 @@ class OpticalConvEngine {
   /// Restore a snapshot taken with rng_state().
   void set_rng_state(const Rng::State& state) { rng_.set_state(state); }
 
+  /// Bytes of calibrated bank programs held by the programmed-layer store:
+  /// the transposed drop/through responses, baselines and group offsets of
+  /// every stored layer. Zero until a call stores its first layer, and
+  /// always zero when bank set-up draws from the RNG (fab_sigma > 0 or
+  /// stuck_ring_rate > 0). Never exceeds kProgramStoreCap.
+  ///
+  /// A stored layer is keyed by its weights' shape and bit-pattern digest
+  /// and the plan fields programming reads; a later call with the same key
+  /// reads the stored program instead of rebuilding and recalibrating its
+  /// banks, and reports the same EngineStats as the call that programmed
+  /// it. docs/architecture.md "Engine hot path" has the full contract.
+  std::size_t programmed_bytes() const;
+
  private:
   nn::Tensor run_full_kernel(const LayerPlan& plan, const nn::Tensor& input,
                              const nn::Tensor& weights, const nn::Tensor& bias,
@@ -218,6 +243,8 @@ class OpticalConvEngine {
   Rng rng_;
   EngineScratch scratch_;
   std::unique_ptr<ThreadPool> pool_;
+  /// Programmed-layer store; null until the first layer is stored.
+  std::unique_ptr<ProgramStore> store_;
 };
 
 } // namespace pcnna::core
