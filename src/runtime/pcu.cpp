@@ -21,24 +21,14 @@ const char* warmup_policy_name(WarmupPolicy policy) {
   throw Error("invalid WarmupPolicy");
 }
 
-Pcu::Pcu(std::size_t index, const core::PcnnaConfig& config,
-         core::TimingFidelity fidelity, const nn::Network& net,
-         const nn::NetWeights& weights, WarmupPolicy warmup, std::string tag)
-    : index_(index),
-      config_(config),
-      fidelity_(fidelity),
-      accelerator_(config, fidelity),
-      warmup_policy_(warmup),
-      tag_(std::move(tag)) {
-  add_model(net, weights);
-}
-
-std::uint32_t Pcu::add_model(const nn::Network& net,
-                             const nn::NetWeights& weights) {
+ModelSlot make_model_slot(const core::PcnnaConfig& config,
+                          core::TimingFidelity fidelity,
+                          const nn::Network& net,
+                          const nn::NetWeights& weights) {
   const std::vector<nn::ConvLayerParams> layers = net.conv_layers();
-  const core::TimingModel timing(config_, fidelity_);
-  const core::EnergyModel energy(config_);
-  const core::Scheduler scheduler(config_);
+  const core::TimingModel timing(config, fidelity);
+  const core::EnergyModel energy(config);
+  const core::Scheduler scheduler(config);
 
   ModelSlot slot;
   slot.net = &net;
@@ -82,15 +72,42 @@ std::uint32_t Pcu::add_model(const nn::Network& net,
   slot.warmup = layers.empty() ? 0.0 : recal.front();
 
   for (const core::EnergyReport& e :
-       energy.network_energy(layers, fidelity_)) {
+       energy.network_energy(layers, fidelity)) {
     slot.request_energy += e.total();
   }
+  return slot;
+}
 
+Pcu::Pcu(std::size_t index, const core::PcnnaConfig& config,
+         core::TimingFidelity fidelity, const nn::Network& net,
+         const nn::NetWeights& weights, WarmupPolicy warmup, std::string tag)
+    : Pcu(index, config, fidelity,
+          make_model_slot(config, fidelity, net, weights), warmup,
+          std::move(tag)) {}
+
+Pcu::Pcu(std::size_t index, const core::PcnnaConfig& config,
+         core::TimingFidelity fidelity, ModelSlot primary, WarmupPolicy warmup,
+         std::string tag)
+    : index_(index),
+      config_(config),
+      fidelity_(fidelity),
+      accelerator_(config, fidelity),
+      warmup_policy_(warmup),
+      tag_(std::move(tag)) {
+  add_model(primary);
+}
+
+std::uint32_t Pcu::add_model(const nn::Network& net,
+                             const nn::NetWeights& weights) {
+  return add_model(make_model_slot(config_, fidelity_, net, weights));
+}
+
+std::uint32_t Pcu::add_model(ModelSlot slot) {
   models_.push_back(slot);
   return static_cast<std::uint32_t>(models_.size() - 1);
 }
 
-const Pcu::ModelSlot& Pcu::timings(std::uint32_t model) const {
+const ModelSlot& Pcu::model_slot(std::uint32_t model) const {
   PCNNA_CHECK_MSG(model < models_.size(),
                   "PCU " << index_ << " has " << models_.size()
                          << " registered models, no model " << model);
@@ -99,7 +116,7 @@ const Pcu::ModelSlot& Pcu::timings(std::uint32_t model) const {
 
 StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,
                                 std::size_t op_end) const {
-  const ModelSlot& slot = timings(model);
+  const ModelSlot& slot = model_slot(model);
   const std::vector<nn::LayerOp>& ops = slot.net->ops();
   PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= ops.size(),
                   "stage range [" << op_begin << ", " << op_end
@@ -113,7 +130,7 @@ StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,
   const core::Scheduler scheduler(config_);
 
   StageTimings st;
-  // Same split as add_model: recalibration (hideable behind the previous
+  // Same split as make_model_slot: recalibration (hideable behind the previous
   // layer's compute) vs everything else (floored by the DRAM stream).
   std::vector<double> recal(layers.size(), 0.0);
   std::vector<double> nonrecal(layers.size(), 0.0);
@@ -143,7 +160,7 @@ StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
                               std::size_t op_end, const nn::Tensor& input,
                               const Rng::State* rng, std::uint64_t seed,
                               double energy_so_far, bool simulate_values) {
-  const ModelSlot& slot = timings(model);
+  const ModelSlot& slot = model_slot(model);
   // First stage: restart the noise stream from the request seed, exactly
   // like serve(). Later stages: resume the stream where the previous
   // stage's PCU left it, so the split run draws the same values a
@@ -170,7 +187,7 @@ StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
 
 RequestResult Pcu::serve(const InferenceRequest& request,
                          bool simulate_values) {
-  const ModelSlot& slot = timings(request.model_id);
+  const ModelSlot& slot = model_slot(request.model_id);
   // Per-request reseed: the engine's noise stream restarts from the
   // request's own seed, so the output is identical whether this request is
   // the first thing this PCU ever ran or the thousandth.

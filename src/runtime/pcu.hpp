@@ -171,6 +171,30 @@ struct StageHandoff {
   EngineWork work;
 };
 
+/// Per-model serving constants of one PCU configuration plus the borrowed
+/// model. A pure function of (config, fidelity, model): a fleet computes
+/// one per distinct PCU configuration (make_model_slot) and hands it to
+/// every PCU built with that configuration.
+struct ModelSlot {
+  const nn::Network* net = nullptr;
+  const nn::NetWeights* weights = nullptr;
+  double request_time_serial = 0.0;
+  double request_interval = 0.0;
+  double warmup = 0.0;
+  double swap_time = 0.0;
+  double request_energy = 0.0;
+  std::size_t split_passes = 0;
+};
+
+/// Serving constants of `net` on a PCU built from `config` at `fidelity`
+/// (see the Pcu accessors for each field's meaning). `net`/`weights` are
+/// borrowed into the slot. Throws if `config` cannot map the network
+/// (SRAM working-set overflow).
+ModelSlot make_model_slot(const core::PcnnaConfig& config,
+                          core::TimingFidelity fidelity,
+                          const nn::Network& net,
+                          const nn::NetWeights& weights);
+
 /// Cumulative counters for one PCU (wall-clock sharding outcome).
 struct PcuStats {
   std::size_t requests_served = 0;
@@ -192,6 +216,14 @@ class Pcu {
       WarmupPolicy warmup = WarmupPolicy::kRechargeAfterIdle,
       std::string tag = {});
 
+  /// Same, with the primary model's slot already computed — it must be
+  /// make_model_slot(config, fidelity, ...) of the served model. PcuPool
+  /// builds every PCU this way, one slot per distinct configuration.
+  Pcu(std::size_t index, const core::PcnnaConfig& config,
+      core::TimingFidelity fidelity, ModelSlot primary,
+      WarmupPolicy warmup = WarmupPolicy::kRechargeAfterIdle,
+      std::string tag = {});
+
   std::size_t index() const { return index_; }
   const PcuStats& stats() const { return stats_; }
   WarmupPolicy warmup_policy() const { return warmup_policy_; }
@@ -209,6 +241,10 @@ class Pcu {
   /// config cannot map the network (SRAM working-set overflow).
   std::uint32_t add_model(const nn::Network& net,
                           const nn::NetWeights& weights);
+
+  /// Same, with the slot already computed by make_model_slot on this PCU's
+  /// config() and fidelity().
+  std::uint32_t add_model(ModelSlot slot);
 
   /// Number of registered models (>= 1).
   std::size_t num_models() const { return models_.size(); }
@@ -251,8 +287,12 @@ class Pcu {
   /// The registered network behind `model` (borrowed). The pipeline
   /// builder partitions it and validates stage ranges against it.
   const nn::Network& model_network(std::uint32_t model) const {
-    return *timings(model).net;
+    return *model_slot(model).net;
   }
+
+  /// All precomputed serving constants of `model` (throws for an
+  /// unregistered id).
+  const ModelSlot& model_slot(std::uint32_t model) const;
 
   // The accessors below are precomputed per-model constants (set at
   // registration, immutable after), so they are safe to read from any
@@ -263,20 +303,20 @@ class Pcu {
   /// Simulated time for one request [s], serial schedule
   /// (Σ layer full_system_time).
   double request_time_serial(std::uint32_t model = 0) const {
-    return timings(model).request_time_serial;
+    return model_slot(model).request_time_serial;
   }
 
   /// Simulated steady-state interval between request completions with
   /// double-buffered recalibration [s].
   double request_interval_overlapped(std::uint32_t model = 0) const {
-    return timings(model).request_interval;
+    return model_slot(model).request_interval;
   }
 
   /// One-time pipeline fill [s]: the first request's first-layer
   /// recalibration, which nothing earlier can hide. When (and how often)
   /// the admission loop re-charges it is governed by warmup_policy().
   double warmup_time(std::uint32_t model = 0) const {
-    return timings(model).warmup;
+    return model_slot(model).warmup;
   }
 
   /// Weight-bank swap cost [s]: the full serial reprogram (Σ layer
@@ -288,13 +328,13 @@ class Pcu {
   /// <= request_interval_overlapped(model): each recalibration appears in
   /// exactly one max() term of the interval sum.
   double swap_time(std::uint32_t model = 0) const {
-    return timings(model).swap_time;
+    return model_slot(model).swap_time;
   }
 
   /// Simulated energy per request [J] (analytical layer energies;
   /// value-independent).
   double request_energy(std::uint32_t model = 0) const {
-    return timings(model).request_energy;
+    return model_slot(model).request_energy;
   }
 
   /// Capability metric for dispatch: sequential weight-bank passes per
@@ -308,24 +348,10 @@ class Pcu {
   /// not. DispatchPolicy::kCapabilityAware skips PCUs whose count exceeds
   /// the fleet minimum for the request's model.
   std::size_t channel_split_passes(std::uint32_t model = 0) const {
-    return timings(model).split_passes;
+    return model_slot(model).split_passes;
   }
 
  private:
-  /// Per-model precomputed serving constants plus the borrowed model.
-  struct ModelSlot {
-    const nn::Network* net = nullptr;
-    const nn::NetWeights* weights = nullptr;
-    double request_time_serial = 0.0;
-    double request_interval = 0.0;
-    double warmup = 0.0;
-    double swap_time = 0.0;
-    double request_energy = 0.0;
-    std::size_t split_passes = 0;
-  };
-
-  const ModelSlot& timings(std::uint32_t model) const;
-
   std::size_t index_;
   core::PcnnaConfig config_;
   core::TimingFidelity fidelity_;

@@ -41,6 +41,22 @@ core::PcnnaConfig effective_config(const PcuSpec& spec) {
   return config;
 }
 
+/// One model's slots across a fleet, one per distinct PCU config.
+using SlotTable = std::vector<std::pair<core::PcnnaConfig, ModelSlot>>;
+
+/// The slot of `net` on `config`: computed for the first PCU with that
+/// config, then shared by every later one (a homogeneous fleet computes
+/// one). Valid until the next call on `slots`.
+const ModelSlot& shared_slot(SlotTable& slots, const core::PcnnaConfig& config,
+                             core::TimingFidelity fidelity,
+                             const nn::Network& net,
+                             const nn::NetWeights& weights) {
+  for (const auto& [c, slot] : slots)
+    if (c == config) return slot;
+  slots.emplace_back(config, make_model_slot(config, fidelity, net, weights));
+  return slots.back().second;
+}
+
 } // namespace
 
 PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
@@ -48,8 +64,11 @@ PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
   PCNNA_CHECK_MSG(!specs.empty(), "a PcuPool needs at least one PCU");
   pcus_.reserve(specs.size());
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();
+  SlotTable slots;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    pcus_.emplace_back(i, effective_config(specs[i]), fidelity, net, weights,
+    const core::PcnnaConfig config = effective_config(specs[i]);
+    pcus_.emplace_back(i, config, fidelity,
+                       shared_slot(slots, config, fidelity, net, weights),
                        specs[i].warmup, std::move(specs[i].tag));
     min_passes = std::min(min_passes, pcus_.back().channel_split_passes());
   }
@@ -60,8 +79,10 @@ std::uint32_t PcuPool::register_model(const nn::Network& net,
                                       const nn::NetWeights& weights) {
   std::uint32_t id = 0;
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();
+  SlotTable slots;
   for (Pcu& pcu : pcus_) {
-    id = pcu.add_model(net, weights);
+    id = pcu.add_model(
+        shared_slot(slots, pcu.config(), pcu.fidelity(), net, weights));
     PCNNA_CHECK_MSG(id == min_split_passes_.size(),
                     "model registry out of sync across the fleet");
     min_passes = std::min(min_passes, pcu.channel_split_passes(id));
