@@ -85,16 +85,19 @@ class Accelerator {
   /// values with the golden CPU path but still produces the full timing /
   /// energy / plan reports (fast, for large nets).
   /// `compare_reference` additionally runs the pure CPU reference and fills
-  /// the fidelity metrics.
+  /// the fidelity metrics: the whole-network output_* fields and
+  /// argmax_match, and each offloaded layer's *_vs_reference fields (a
+  /// golden conv or FC per layer). With it off those fields stay 0 and
+  /// the output bits are unchanged.
   NetworkRunReport run(const nn::Network& net, const nn::NetWeights& weights,
                        const nn::Tensor& input, bool simulate_values = true,
                        bool compare_reference = true);
 
   /// Run the contiguous op range [op_begin, op_end) — one pipeline stage.
   /// `input` must match net.shape_before(op_begin); the report's output is
-  /// the activation leaving op_end - 1. run() is exactly
-  /// run_range(0, ops.size()) plus the whole-network reference comparison;
-  /// ranges carry no reference metrics (the golden prefix is not replayed).
+  /// the activation leaving op_end - 1. run() with compare_reference off
+  /// is exactly run_range(0, ops.size()); ranges carry no reference
+  /// metrics (no golden layer is run when values are simulated).
   NetworkRunReport run_range(const nn::Network& net,
                              const nn::NetWeights& weights,
                              const nn::Tensor& input, std::size_t op_begin,
@@ -108,6 +111,14 @@ class Accelerator {
   // energy_per_image -> energy_per_request.
 
  private:
+  /// run_range body; `layer_errors` fills the per-layer *_vs_reference
+  /// fields (run()'s compare_reference).
+  NetworkRunReport run_ops(const nn::Network& net,
+                           const nn::NetWeights& weights,
+                           const nn::Tensor& input, std::size_t op_begin,
+                           std::size_t op_end, bool simulate_values,
+                           bool layer_errors);
+
   PcnnaConfig config_;
   TimingFidelity fidelity_;
   Scheduler scheduler_;
