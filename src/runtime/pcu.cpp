@@ -21,19 +21,25 @@ const char* warmup_policy_name(WarmupPolicy policy) {
   throw Error("invalid WarmupPolicy");
 }
 
-ModelSlot make_model_slot(const core::PcnnaConfig& config,
+namespace {
+
+/// Serving constants of a run of conv layers on one config — a whole model
+/// (make_model_slot) or one pipeline stage's range (Pcu::stage_timings) —
+/// plus the plain sum of their recalibrations (a model's swap cost).
+struct LayerPricing {
+  StageTimings timings;
+  double recal_sum = 0.0;
+};
+
+LayerPricing price_layers(const core::PcnnaConfig& config,
                           core::TimingFidelity fidelity,
-                          const nn::Network& net,
-                          const nn::NetWeights& weights) {
-  const std::vector<nn::ConvLayerParams> layers = net.conv_layers();
+                          const std::vector<nn::ConvLayerParams>& layers) {
   const core::TimingModel timing(config, fidelity);
   const core::EnergyModel energy(config);
   const core::Scheduler scheduler(config);
 
-  ModelSlot slot;
-  slot.net = &net;
-  slot.weights = &weights;
-
+  LayerPricing price;
+  StageTimings& st = price.timings;
   // Per-layer split into recalibration (hideable behind the previous
   // layer's compute via the shadow bank set) and everything else (floored
   // by the layer's concurrent DRAM stream, which stays exposed).
@@ -44,37 +50,52 @@ ModelSlot make_model_slot(const core::PcnnaConfig& config,
     recal[i] = t.weight_load_time;
     nonrecal[i] =
         std::max(t.full_system_time - t.weight_load_time, t.dram_time);
-    slot.request_time_serial += t.full_system_time;
+    st.serial += t.full_system_time;
     // Capability metric: sequential bank passes per kernel location this
     // config needs for the layer (1 when the receptive field fits a
     // full-kernel bank; channel-group segments x per-channel passes
     // otherwise).
-    slot.split_passes += scheduler.plan(layers[i]).cycles_per_location;
+    st.split_passes += scheduler.plan(layers[i]).cycles_per_location;
   }
 
-  // Steady-state interval: layer i's optical pass of request r overlaps the
-  // recalibration for layer i+1 — wrapping to layer 0 of request r+1 at the
-  // end of the stack, which is what lifts the Fig. 4 overlap from one layer
-  // to the whole request stream.
+  // Steady-state interval: layer i's optical pass of image r overlaps the
+  // recalibration for layer i+1 — wrapping to the run's first layer for
+  // image r+1 at the end, which is what lifts the Fig. 4 overlap from one
+  // layer to the whole request stream.
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    const double next_recal = recal[(i + 1) % layers.size()];
-    slot.request_interval += std::max(nonrecal[i], next_recal);
+    st.interval += std::max(nonrecal[i], recal[(i + 1) % layers.size()]);
     // Switching the programmed model reprograms every bank with nothing to
     // hide behind: the swap is the plain sum of the recalibrations.
-    slot.swap_time += recal[i];
+    price.recal_sum += recal[i];
   }
   // A recalibration that was already hidden under its own layer's DRAM
   // stream in the serial schedule can make the sum above exceed the serial
   // time; double buffering can always fall back to the serial schedule, so
   // the interval is capped there.
-  slot.request_interval =
-      std::min(slot.request_interval, slot.request_time_serial);
-  slot.warmup = layers.empty() ? 0.0 : recal.front();
+  st.interval = std::min(st.interval, st.serial);
+  st.pin = layers.empty() ? 0.0 : recal.front();
 
-  for (const core::EnergyReport& e :
-       energy.network_energy(layers, fidelity)) {
-    slot.request_energy += e.total();
-  }
+  for (const core::EnergyReport& e : energy.network_energy(layers, fidelity))
+    st.energy += e.total();
+  return price;
+}
+
+} // namespace
+
+ModelSlot make_model_slot(const core::PcnnaConfig& config,
+                          core::TimingFidelity fidelity,
+                          const nn::Network& net,
+                          const nn::NetWeights& weights) {
+  const LayerPricing price = price_layers(config, fidelity, net.conv_layers());
+  ModelSlot slot;
+  slot.net = &net;
+  slot.weights = &weights;
+  slot.request_time_serial = price.timings.serial;
+  slot.request_interval = price.timings.interval;
+  slot.warmup = price.timings.pin;
+  slot.swap_time = price.recal_sum;
+  slot.request_energy = price.timings.energy;
+  slot.split_passes = price.timings.split_passes;
   return slot;
 }
 
@@ -125,35 +146,7 @@ StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,
   for (std::size_t i = op_begin; i < op_end; ++i)
     if (ops[i].kind == nn::OpKind::kConv) layers.push_back(ops[i].conv);
 
-  const core::TimingModel timing(config_, fidelity_);
-  const core::EnergyModel energy(config_);
-  const core::Scheduler scheduler(config_);
-
-  StageTimings st;
-  // Same split as make_model_slot: recalibration (hideable behind the previous
-  // layer's compute) vs everything else (floored by the DRAM stream).
-  std::vector<double> recal(layers.size(), 0.0);
-  std::vector<double> nonrecal(layers.size(), 0.0);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const core::LayerTiming t = timing.layer_time(layers[i]);
-    recal[i] = t.weight_load_time;
-    nonrecal[i] =
-        std::max(t.full_system_time - t.weight_load_time, t.dram_time);
-    st.serial += t.full_system_time;
-    st.split_passes += scheduler.plan(layers[i]).cycles_per_location;
-  }
-  // Steady-state interval of the stage: the double-buffer overlap wraps
-  // within the range — layer i of image r hides the recalibration for
-  // layer i+1, the range's last layer hides its first layer's for image
-  // r+1. Capped at the serial fallback exactly like the whole-model case.
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    st.interval += std::max(nonrecal[i], recal[(i + 1) % layers.size()]);
-  }
-  st.interval = std::min(st.interval, st.serial);
-  st.pin = layers.empty() ? 0.0 : recal.front();
-  for (const core::EnergyReport& e : energy.network_energy(layers, fidelity_))
-    st.energy += e.total();
-  return st;
+  return price_layers(config_, fidelity_, layers).timings;
 }
 
 StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
