@@ -368,6 +368,12 @@ struct ProgrammedLayer {
   std::size_t bytes = 0; ///< program_bytes() of the layout
   /// measured_usable_range of one group-width bank.
   double usable = 0.0;
+  /// The weight statistics the layer's scaling reads: the weights' abs_max
+  /// and the mean square of weights / w_absmax. Pure functions of the
+  /// weights, so a warm call reads them instead of passing over the
+  /// weights twice more.
+  double w_absmax = 0.0;
+  double w_mean_sq = 0.0;
   /// Set-up counters a warm call replays: banks_built, stuck_rings,
   /// total_heater_power, total_ring_area and the calibration-error mean
   /// and max.
@@ -818,10 +824,17 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
 
   nn::Tensor out(nn::Shape4{1, K, side, side});
 
+  ProgramSource src = find_program(
+      config_, store_.get(), ProgramKind::kFullKernel, weights,
+      plan.group_size, plan.groups, program_bytes(plan.groups, K, 1));
+  ProgrammedLayer fresh;
+  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
+  if (!src.stored) fresh.w_absmax = weights.abs_max();
+
   // Electronic scaling: inputs normalized to [0, 1], weights to the bank's
   // representable range; the product is undone after detection.
   const double x_scale = input.abs_max();
-  const double w_absmax = weights.abs_max();
+  const double w_absmax = prog.w_absmax;
   if (x_scale == 0.0 || w_absmax == 0.0) {
     for (std::size_t k = 0; k < K; ++k) {
       const double b = bias.empty() ? 0.0 : bias.at(0, k, 0, 0);
@@ -840,18 +853,14 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   const elec::Adc adc(adc_cfg);
 
   const std::size_t G = plan.groups.size();
-  ProgramSource src = find_program(
-      config_, store_.get(), ProgramKind::kFullKernel, weights,
-      plan.group_size, plan.groups, program_bytes(plan.groups, K, 1));
-  ProgrammedLayer fresh;
   if (!src.stored) {
+    fresh.w_mean_sq = mean_square_scaled(weights.data(), w_absmax);
     // Probe the representable weight range with a scratch bank of the same
     // width as the widest group.
     fresh.usable = measured_usable_range(config_, plan.group_size, rng_);
     PCNNA_CHECK_MSG(fresh.usable > 0.0,
                     "weight bank has no usable signed range");
   }
-  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
   const double denom = 0.95 * prog.usable;
   const double recover = x_scale * w_absmax / denom;
 
@@ -883,8 +892,7 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
   // Per-layer ADC range calibration from weight and input statistics.
-  const double mean_w_sq =
-      mean_square_scaled(weights.data(), w_absmax) * denom * denom;
+  const double mean_w_sq = prog.w_mean_sq * denom * denom;
   const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, n_kernel, mean_x_sq, mean_w_sq);
@@ -930,8 +938,15 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
 
   nn::Tensor out(nn::Shape4{1, K, side, side});
 
+  ProgramSource src = find_program(
+      config_, store_.get(), ProgramKind::kPerChannel, weights,
+      plan.group_size, plan.groups, program_bytes(plan.groups, K, layer.nc));
+  ProgrammedLayer fresh;
+  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
+  if (!src.stored) fresh.w_absmax = weights.abs_max();
+
   const double x_scale = input.abs_max();
-  const double w_absmax = weights.abs_max();
+  const double w_absmax = prog.w_absmax;
   if (x_scale == 0.0 || w_absmax == 0.0) {
     for (std::size_t k = 0; k < K; ++k) {
       const double b = bias.empty() ? 0.0 : bias.at(0, k, 0, 0);
@@ -950,16 +965,12 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   const elec::Adc adc(adc_cfg);
 
   const std::size_t G = plan.groups.size();
-  ProgramSource src = find_program(
-      config_, store_.get(), ProgramKind::kPerChannel, weights,
-      plan.group_size, plan.groups, program_bytes(plan.groups, K, layer.nc));
-  ProgrammedLayer fresh;
   if (!src.stored) {
+    fresh.w_mean_sq = mean_square_scaled(weights.data(), w_absmax);
     fresh.usable = measured_usable_range(config_, plan.group_size, rng_);
     PCNNA_CHECK_MSG(fresh.usable > 0.0,
                     "weight bank has no usable signed range");
   }
-  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
   const double denom = 0.95 * prog.usable;
   const double recover = x_scale * w_absmax / denom;
 
@@ -984,8 +995,7 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
   // Per-layer ADC range calibration (per-channel passes sum m*m terms).
-  const double mean_w_sq =
-      mean_square_scaled(weights.data(), w_absmax) * denom * denom;
+  const double mean_w_sq = prog.w_mean_sq * denom * denom;
   const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, per_channel, mean_x_sq, mean_w_sq);
@@ -1069,9 +1079,22 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   st.locations = 1;
   st.recalibrations = 1;
 
+  // Each input slice is one programming pass of out_n banks, one group
+  // wide.
+  const std::size_t group_size =
+      std::min<std::size_t>(config_.max_wavelengths, in);
+  const std::size_t slices = (in + group_size - 1) / group_size;
+  const std::vector<GroupSlice> slice_group{GroupSlice{0, group_size}};
+  ProgramSource src = find_program(
+      config_, store_.get(), ProgramKind::kFullyConnected, weights,
+      group_size, slice_group, program_bytes(slice_group, out_n, slices));
+  ProgrammedLayer fresh;
+  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
+  if (!src.stored) fresh.w_absmax = weights.abs_max();
+
   nn::Tensor out(nn::Shape4{1, out_n, 1, 1});
   const double x_scale = input.abs_max();
-  const double w_absmax = weights.abs_max();
+  const double w_absmax = prog.w_absmax;
   if (x_scale == 0.0 || w_absmax == 0.0) {
     for (std::size_t o = 0; o < out_n; ++o)
       out[o] = bias.empty() ? 0.0 : bias[o];
@@ -1088,23 +1111,13 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
-  // Each input slice is one programming pass of out_n banks, one group
-  // wide.
-  const std::size_t group_size =
-      std::min<std::size_t>(config_.max_wavelengths, in);
-  const std::size_t slices = (in + group_size - 1) / group_size;
-  const std::vector<GroupSlice> slice_group{GroupSlice{0, group_size}};
-  ProgramSource src = find_program(
-      config_, store_.get(), ProgramKind::kFullyConnected, weights,
-      group_size, slice_group, program_bytes(slice_group, out_n, slices));
-  ProgrammedLayer fresh;
   if (!src.stored) {
+    fresh.w_mean_sq = mean_square_scaled(weights.data(), w_absmax);
     fresh.usable = measured_usable_range(config_, group_size, rng_);
     PCNNA_CHECK_MSG(fresh.usable > 0.0,
                     "weight bank has no usable signed range");
     size_program(slice_group, out_n, src.keep ? slices : 1, fresh);
   }
-  const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
   const double denom = 0.95 * prog.usable;
   const double recover = x_scale * w_absmax / denom;
   st.wavelengths_used = group_size;
@@ -1113,8 +1126,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   st.rings_used = out_n * in;
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
-  const double mean_w_sq =
-      mean_square_scaled(weights.data(), w_absmax) * denom * denom;
+  const double mean_w_sq = prog.w_mean_sq * denom * denom;
   const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, in, mean_x_sq, mean_w_sq);

@@ -198,6 +198,35 @@ TEST(ProgramStore, MutatedWeightMissesTheStore) {
   }
 }
 
+// All-zero weights return the bias on a warm engine too: they draw nothing,
+// store nothing and never read a stored layer's weight statistics.
+TEST(ProgramStore, ZeroWeightsReturnTheBiasAndStoreNothing) {
+  const PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  for (Call call : {conv_call({"full", 10, 3, 1, 1, 16, 8}, 18),
+                    fc_call(120, 12, 19)}) {
+    SCOPED_TRACE(call.fc ? "fully_connected" : "conv2d");
+    OpticalConvEngine engine(cfg);
+    call.run(engine, 22, nullptr);
+    const std::size_t stored = engine.programmed_bytes();
+    ASSERT_GT(stored, 0u);
+
+    for (std::size_t i = 0; i < call.weights.size(); ++i) call.weights[i] = 0.0;
+    engine.reseed_rng(23);
+    const Rng::State before = engine.rng_state();
+    const Tensor got = call.fc
+        ? engine.fully_connected(call.input, call.weights, call.bias)
+        : engine.conv2d(call.input, call.weights, call.bias, call.stride,
+                        call.pad);
+    const Rng::State after = engine.rng_state();
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(before.s[w], after.s[w]);
+    EXPECT_EQ(stored, engine.programmed_bytes());
+
+    const std::size_t per_k = got.size() / call.bias.size();
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_TRUE(same_bits(call.bias[i / per_k], got[i])) << "element " << i;
+  }
+}
+
 TEST(ProgramStore, ImpureSetUpNeverStores) {
   PcnnaConfig disorder = PcnnaConfig::paper_defaults();
   disorder.bank.ring.fab_sigma = 0.05 * units::nm;
