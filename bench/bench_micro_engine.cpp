@@ -1,5 +1,5 @@
-// Microbenchmarks: simulator hot-path throughput and the PR 3 engine
-// rewrite's A/B speedup.
+// Microbenchmarks: simulator hot-path throughput and the engine rewrite's
+// A/B speedup.
 //
 // Not a paper artifact — this measures the *simulator itself* so regressions
 // in the hot paths (golden conv, bank calibration, functional engine) are
@@ -11,14 +11,17 @@
 // Output: a table + pcnna_micro_engine.csv, plus machine-readable rows in
 // BENCH_engine.json (schema in docs/benchmarks.md). Self-checks gate the
 // exit code:
-//  * bit-identity — the rewritten engine must match the frozen reference
-//    bitwise on every timed config, threads in {1, 2, 4};
+//  * bit-identity — on the ideal config the rewritten engine must match the
+//    frozen reference bitwise, threads in {1, 2, 4}; on the noisy config,
+//    whose keyed per-pixel noise differs from the reference's serial stream
+//    by design, threads 2 and 4 must match the engine's own threads-1 run;
 //  * speedup — the single-threaded rewritten engine must beat the reference
 //    on the ideal config (the hard floor here is deliberately below the
 //    ~2x+ typical, to keep CI robust on noisy shared runners).
 //
-// Thread-scaling rows are reported but not gated: CI runners and dev
-// machines differ in core count (a 1-core host shows ~1.0x).
+// Thread-scaling rows (speedup_vs_t1) are reported but not gated: CI
+// runners and dev machines differ in core count (a 1-core host shows
+// ~1.0x).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -98,9 +101,10 @@ int main() {
   bool ok = true;
 
   const auto engine_row = [&](const std::string& name, double t,
-                              double ref_t) {
+                              double ref_t, double t1) {
     json.row(name, "wall_time_per_conv", t, "s");
     if (ref_t > 0.0) json.row(name, "speedup_vs_reference", ref_t / t, "x");
+    if (t1 > 0.0) json.row(name, "speedup_vs_t1", t1 / t, "x");
     sink.row({name, format_time(t),
               ref_t > 0.0 ? format_fixed(ref_t / t, 2) + " x" : "-",
               format_fixed(macs / t / 1e6, 1)});
@@ -160,26 +164,35 @@ int main() {
       reference.reset_rng();
       reference.conv2d(data().input, data().weights, data().bias, 1, 1);
     });
-    engine_row(std::string(c.name) + "_reference", ref_t, 0.0);
+    engine_row(std::string(c.name) + "_reference", ref_t, 0.0, 0.0);
 
+    // The oracle: the frozen reference with noise off, the engine's own
+    // threads-1 output with noise on.
+    nn::Tensor oracle = expected;
+    const char* oracle_name = "the frozen reference";
+    double t1 = 0.0;
     for (const std::size_t threads : {1u, 2u, 4u}) {
       core::OpticalConvEngine engine(with_threads(c.config, threads));
       // Bit-identity self-check before timing.
       engine.reset_rng();
       const nn::Tensor got =
           engine.conv2d(data().input, data().weights, data().bias, 1, 1);
-      if (!(got == expected)) {
+      if (c.config.enable_noise && threads == 1) {
+        oracle = got;
+        oracle_name = "the engine's threads=1 run";
+      } else if (!(got == oracle)) {
         std::cout << "FAIL: " << c.name << " threads=" << threads
-                  << " is not bit-identical to the frozen reference (max "
-                  << format_sci(nn::max_abs_diff(got, expected)) << ")\n";
+                  << " is not bit-identical to " << oracle_name << " (max "
+                  << format_sci(nn::max_abs_diff(got, oracle)) << ")\n";
         ok = false;
       }
       const double t = time_per_call([&] {
         engine.reset_rng();
         engine.conv2d(data().input, data().weights, data().bias, 1, 1);
       });
+      if (threads == 1) t1 = t;
       engine_row(std::string(c.name) + "_t" + std::to_string(threads), t,
-                 ref_t);
+                 ref_t, threads == 1 ? 0.0 : t1);
       if (c.config.enable_noise == false && threads == 1)
         ideal_t1_speedup = ref_t / t;
     }
@@ -202,7 +215,8 @@ int main() {
   }
 
   std::cout << "\nself-checks: " << (ok ? "PASS" : "FAIL")
-            << " (A/B bit-identity for threads {1,2,4}, >= 1.5x single-thread"
-               " speedup)\n";
+            << " (ideal: A/B bit-identity vs the frozen reference for threads"
+               " {1,2,4}; noisy: threads {2,4} bit-identical to threads 1;"
+               " >= 1.5x single-thread ideal speedup)\n";
   return ok ? 0 : 1;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "common/error.hpp"
+#include "common/normal_stream.hpp"
 
 namespace pcnna {
 namespace {
@@ -13,11 +14,8 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 }
 
 std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  x += NormalStream::kGamma;
+  return mix64(x);
 }
 
 } // namespace

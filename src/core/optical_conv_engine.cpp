@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/mathutil.hpp"
+#include "common/normal_stream.hpp"
 #include "electronics/adc.hpp"
 #include "electronics/dac.hpp"
 #include "photonics/laser.hpp"
@@ -17,10 +18,11 @@
 
 // Hot-path bit-identity contract
 // ------------------------------
-// Every value this file computes must stay bit-identical to the frozen
-// pre-rewrite engine (engine_reference.cpp): the serving runtime's
-// request-level reproducibility guarantees are built on engine outputs, so
-// the rewrite hoists and restructures but never reassociates. Concretely:
+// With noise off, every value this file computes is bit-identical to the
+// frozen pre-rewrite engine (engine_reference.cpp), its ideal-path oracle:
+// the serving runtime's request-level reproducibility guarantees are built
+// on engine outputs, so the rewrite hoists and restructures but never
+// reassociates. Concretely:
 //
 //  * per-element math (normalize, DAC quantize, MZM transfer) is hoisted
 //    out of the pixel loops into per-layer tables — legal because they are
@@ -30,11 +32,20 @@
 //    exactly like the reference — the loop interchange to K independent
 //    accumulation chains changes the schedule, never the per-accumulator
 //    addition order;
-//  * RNG draw order is pinned: all setup draws (bank fabrication,
-//    inject_stuck_faults, measured_usable_range) happen sequentially in
-//    construction order, and hot-loop draws (laser RIN, photodiode noise)
-//    happen in sequential pixel order — pre-generated into a buffer before
-//    tiles fan out when engine_threads > 1.
+//  * set-up draws (bank fabrication, inject_stuck_faults,
+//    measured_usable_range) come from the engine RNG sequentially in
+//    construction order, exactly as in the reference.
+//
+// With noise on, hot-loop noise (laser RIN, photodiode shot/thermal noise)
+// no longer comes from the engine RNG draw by draw. Each noisy sweep pass,
+// and each noisy fully_connected call, takes one 64-bit key from the engine
+// RNG; pixel p then draws standard normals from its own NormalStream keyed
+// by (that key, p), in the reference's per-pixel draw order. A pixel's
+// noise is thus a pure function of (request seed, sweep, pixel, draw
+// index), the same for every thread count and tile, and the engine RNG
+// advances identically at every thread count. Noisy outputs differ from the
+// reference's (a different sampler) but match it in distribution
+// (tests/test_noise_stream.cpp).
 namespace pcnna::core {
 namespace {
 
@@ -117,62 +128,44 @@ double mean_square_scaled(const Range& values, double scale) {
   return acc / static_cast<double>(values.size());
 }
 
-// --- noise sources -------------------------------------------------------
-// The hot loop consumes standard normals through one of these; all three
-// produce the identical value stream for a given engine state, which is the
-// crux of determinism under threads (see the header).
+// --- noise ---------------------------------------------------------------
 
-/// Sequential path: draw from the engine RNG inline (the reference
-/// behavior — Rng::normal(mean, sigma) is mean + sigma * Rng::normal()).
-struct RngNormalSource {
-  Rng* rng;
-  double next() { return rng->normal(); }
-};
+/// The key of one noisy sweep pass or fully_connected call: one draw from
+/// the engine RNG when noise is on (bw > 0), none otherwise.
+std::uint64_t noise_key(Rng& rng, double bw) {
+  return bw > 0.0 ? rng.next_u64() : 0;
+}
 
-/// Parallel noisy path: read standard normals pre-drawn in sequential pixel
-/// order from EngineScratch::noise_z.
-struct BufferNormalSource {
-  const double* z;
-  double next() { return *z++; }
-};
-
-/// Noise-free path: never called (kNoise == false elides all call sites).
-struct NullNormalSource {
-  double next() { return 0.0; }
-};
+/// Laser RIN sigma over `bw`: the expression of LaserDiode::emit, whose
+/// sample is max(0, p0 + sigma * z).
+double rin_sigma(const PcnnaConfig& cfg, double p0, double bw) {
+  return bw > 0.0 ? p0 * std::sqrt(from_db(cfg.laser.rin_db_per_hz) * bw)
+                  : 0.0;
+}
 
 /// Replicates BalancedPhotodiode::detect bit for bit while sourcing the
-/// standard normals from `src`: each branch computes its ideal current,
-/// then adds sigma * z when its noise sigma is nonzero (plus branch first —
-/// the draw order the sequential engine produces).
-template <bool kNoise, typename Source>
+/// standard normals from `z`: each branch computes its ideal current, then
+/// adds sigma * z when its noise sigma is nonzero (plus branch first).
+/// Shot-only noise with zero dark current draws nothing for a branch whose
+/// current is exactly zero, so a pixel's draw count can depend on its data;
+/// each pixel owns its stream, so that never shifts another pixel's noise.
+template <bool kNoise>
 inline double detect_balanced(const phot::BalancedPhotodiode& pd,
                               double p_drop, double p_thru, double bw,
-                              Source& src) {
+                              NormalStream& z) {
   double cur_p = pd.plus_branch().ideal_current(p_drop);
   double cur_m = pd.minus_branch().ideal_current(p_thru);
   if constexpr (kNoise) {
     const double sp = pd.plus_branch().noise_sigma(cur_p, bw);
-    if (sp != 0.0) cur_p = cur_p + sp * src.next();
+    if (sp != 0.0) cur_p = cur_p + sp * z.next();
     const double sm = pd.minus_branch().noise_sigma(cur_m, bw);
-    if (sm != 0.0) cur_m = cur_m + sm * src.next();
+    if (sm != 0.0) cur_m = cur_m + sm * z.next();
   }
   return cur_p - cur_m;
 }
 
-/// True when every balanced-detect branch consumes a compile-time-known
-/// number of normals per sample (0 or 1) — the precondition for pre-drawing
-/// the parallel noisy path. Shot-only noise with zero dark current makes
-/// the draw data-dependent (sigma == 0 exactly when the mean current is 0),
-/// so that corner falls back to the sequential path.
-bool pd_draw_count_fixed(const phot::PhotodiodeConfig& pd) {
-  if (!pd.enable_shot_noise && !pd.enable_thermal_noise) return true; // 0
-  if (pd.enable_thermal_noise) return true;                          // 1
-  return pd.dark_current > 0.0; // shot only: mean >= dark > 0 -> 1
-}
-
-/// Normals one balanced-detect branch consumes per sample when the count is
-/// fixed.
+/// Normals one balanced-detect branch draws per sample (the nominal count
+/// EngineStats::noise_draws reports).
 std::size_t pd_draws_per_branch(const phot::PhotodiodeConfig& pd) {
   return (pd.enable_shot_noise || pd.enable_thermal_noise) ? 1 : 0;
 }
@@ -225,16 +218,16 @@ inline void mac_update(std::size_t K, double pw, const double* __restrict dr,
 }
 
 /// One kernel location: modulate the receptive field, run all K banks, and
-/// digitize. Identical value/draw sequence to the reference engine's
-/// per-pixel body.
-template <bool kNoise, typename Source>
-void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
+/// digitize. Identical value sequence and per-pixel draw order to the
+/// reference engine's per-pixel body; the normals come from `z`.
+template <bool kNoise>
+void conv_pixel(const SweepCtx& c, std::size_t p, NormalStream& z,
                 EngineScratch::Worker& wk) {
   const std::int32_t* prow = c.patch + p * c.n_kernel + c.patch_offset;
-  double* powers = wk.powers.data();
-  double* dacc = wk.drop_acc.data();
-  double* tacc = wk.thru_acc.data();
-  double* acc = wk.acc.data();
+  double* powers = wk.powers();
+  double* dacc = wk.drop_acc();
+  double* tacc = wk.thru_acc();
+  double* acc = wk.acc();
   if (!c.accumulate) std::fill(acc, acc + c.K, 0.0);
 
   for (std::size_t g = 0; g < c.n_groups; ++g) {
@@ -247,7 +240,7 @@ void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
       const double tf = idx >= 0 ? c.transfer[idx] : c.transfer_pad;
       if constexpr (kNoise) {
         const double emit =
-            std::max(0.0, c.laser_mean + c.laser_sigma * src.next());
+            std::max(0.0, c.laser_mean + c.laser_sigma * z.next());
         powers[i] = emit * c.bcast * tf;
       } else {
         powers[i] = c.p_src0 * tf;
@@ -268,7 +261,7 @@ void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
     if (!c.accumulate) {
       for (std::size_t k = 0; k < c.K; ++k) {
         const double current =
-            detect_balanced<kNoise>(*c.pd, dacc[k], tacc[k], c.bw, src);
+            detect_balanced<kNoise>(*c.pd, dacc[k], tacc[k], c.bw, z);
         acc[k] += (current - base[k]) / c.denom_current;
       }
     } else {
@@ -276,14 +269,12 @@ void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
       // electronically.
       for (std::size_t k = 0; k < c.K; ++k) {
         const double current =
-            detect_balanced<kNoise>(*c.pd, dacc[k], tacc[k], c.bw, src);
+            detect_balanced<kNoise>(*c.pd, dacc[k], tacc[k], c.bw, z);
         double v = (current - base[k]) / c.denom_current;
         if (c.quantize) v = c.adc->convert(v / c.adc_fs) * c.adc_fs;
-        ++wk.adc_conversions;
         c.out[k * c.pixels + p] += v;
       }
     }
-    ++wk.optical_passes;
   }
 
   if (!c.accumulate) {
@@ -291,64 +282,47 @@ void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
     for (std::size_t k = 0; k < c.K; ++k) {
       double v = acc[k];
       if (c.quantize) v = c.adc->convert(v / c.adc_fs) * c.adc_fs;
-      ++wk.adc_conversions;
       const double b = c.bias ? c.bias[k] : 0.0;
       c.out[k * c.pixels + p] = v * c.recover + b;
     }
   }
 }
 
-/// Drive conv_pixel over all kernel locations: sequentially (drawing noise
-/// inline from `rng`), or across fixed contiguous pixel tiles on the pool —
-/// pre-drawing the noise stream in sequential pixel order first so the
-/// fan-out cannot perturb it.
-void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
-                  std::size_t draws_per_pixel, Rng& rng,
-                  EngineScratch& scratch, ThreadPool* pool) {
-  const std::size_t pixels = ctx.pixels;
-  const auto chunk = [&](std::size_t w) {
-    return ThreadPool::chunk_begin(pixels, w, workers);
-  };
+/// Run conv_pixel over the pixels of tile `w` of `workers`.
+template <bool kNoise>
+void sweep_tile(const SweepCtx& ctx, std::size_t w, std::size_t workers,
+                std::uint64_t key, EngineScratch::Worker& wk) {
+  const ZigguratTables& zig = ziggurat_tables();
+  const std::size_t end = ThreadPool::chunk_begin(ctx.pixels, w + 1, workers);
+  for (std::size_t p = ThreadPool::chunk_begin(ctx.pixels, w, workers);
+       p < end; ++p) {
+    NormalStream z(NormalStream::element_key(key, p), zig);
+    conv_pixel<kNoise>(ctx, p, z, wk);
+  }
+}
 
+/// Drive conv_pixel over all kernel locations in fixed contiguous pixel
+/// tiles, one per worker (inline when there is one). With noise on, pixel p
+/// draws from the stream keyed by (key, p), so its bits do not depend on the
+/// tiling.
+void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
+                  std::uint64_t key, EngineScratch& scratch,
+                  ThreadPool* pool) {
   // The pool may hold more threads than this layer's effective worker
   // count (small output maps clamp it); surplus workers no-op.
-
-  if (ctx.bw == 0.0) {
-    auto tile = [&](std::size_t w) {
-      if (w >= workers) return;
-      NullNormalSource src;
-      EngineScratch::Worker& wk = scratch.workers[w];
-      for (std::size_t p = chunk(w); p < chunk(w + 1); ++p)
-        conv_pixel<false>(ctx, p, src, wk);
-    };
-    if (workers == 1) {
-      tile(0);
-    } else {
-      pool->run(tile);
-    }
-    return;
-  }
-
-  if (workers == 1) {
-    RngNormalSource src{&rng};
-    for (std::size_t p = 0; p < pixels; ++p)
-      conv_pixel<true>(ctx, p, src, scratch.workers[0]);
-    return;
-  }
-
-  // Parallel noisy path: generate the layer's standard-normal stream in the
-  // exact sequential order, then let every tile index its pixel's slice.
-  scratch.noise_z.resize(pixels * draws_per_pixel);
-  for (double& z : scratch.noise_z) z = rng.normal();
-  auto tile = [&](std::size_t w) {
+  const auto tile = [&](std::size_t w) {
     if (w >= workers) return;
-    EngineScratch::Worker& wk = scratch.workers[w];
-    for (std::size_t p = chunk(w); p < chunk(w + 1); ++p) {
-      BufferNormalSource src{scratch.noise_z.data() + p * draws_per_pixel};
-      conv_pixel<true>(ctx, p, src, wk);
+    if (ctx.bw > 0.0) {
+      sweep_tile<true>(ctx, w, workers, key, scratch.workers[w]);
+    } else {
+      sweep_tile<false>(ctx, w, workers, key, scratch.workers[w]);
     }
   };
-  pool->run(tile);
+  if (workers == 1) {
+    tile(0);
+  } else {
+    pool->run(tile);
+  }
 }
 
 /// One layer's calibrated bank program: everything bank set-up produces.
@@ -472,12 +446,6 @@ struct ProgramKey {
   friend bool operator==(const ProgramKey&, const ProgramKey&) = default;
 };
 
-std::uint64_t mix64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Word-at-a-time digest of the values' bit patterns: four independent
 /// multiply-rotate lanes, then a SplitMix64 fold. Every step is a bijection
 /// of its state for a fixed input word, so changing any one value always
@@ -578,8 +546,7 @@ void point_at_block(SweepCtx& ctx, const ProgrammedLayer& prog,
 }
 
 /// Fill the read-only sweep context from already-sized scratch (the bank
-/// program is attached by point_at_block). The single home of the
-/// laser-RIN sigma expression (must mirror LaserDiode::emit bit for bit).
+/// program is attached by point_at_block).
 SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
                         const AnalogChain& chain,
                         const phot::BalancedPhotodiode& pd,
@@ -599,9 +566,7 @@ SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
   ctx.pixels = side * side;
   ctx.bcast = chain.bcast;
   ctx.laser_mean = chain.p0;
-  ctx.laser_sigma =
-      bw > 0.0 ? chain.p0 * std::sqrt(from_db(cfg.laser.rin_db_per_hz) * bw)
-               : 0.0;
+  ctx.laser_sigma = rin_sigma(cfg, chain.p0, bw);
   ctx.p_src0 = chain.p0 * chain.bcast;
   ctx.pd = &pd;
   ctx.bw = bw;
@@ -715,15 +680,10 @@ std::size_t OpticalConvEngine::programmed_bytes() const {
 }
 
 std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
-                                               bool fixed_draw_count,
                                                std::size_t group_size,
                                                std::size_t K) {
-  std::size_t n = config_.engine_threads;
-  // The parallel noisy path needs a data-independent per-pixel draw count
-  // to pre-generate the noise stream; otherwise stay sequential (outputs
-  // are identical either way — this only affects host scheduling).
-  if (config_.enable_noise && !fixed_draw_count) n = 1;
-  n = std::max<std::size_t>(1, std::min(n, pixels));
+  const std::size_t n =
+      std::max<std::size_t>(1, std::min(config_.engine_threads, pixels));
   // The pool is created once at full engine_threads size and kept for the
   // engine's lifetime; layers whose pixel count clamps the effective worker
   // count below that leave the surplus workers idle for the sweep (see
@@ -731,14 +691,7 @@ std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
   if (n > 1 && !pool_)
     pool_ = std::make_unique<ThreadPool>(config_.engine_threads);
   scratch_.workers.resize(n);
-  for (EngineScratch::Worker& w : scratch_.workers) {
-    w.powers.resize(group_size);
-    w.drop_acc.resize(K);
-    w.thru_acc.resize(K);
-    w.acc.resize(K);
-    w.optical_passes = 0;
-    w.adc_conversions = 0;
-  }
+  for (EngineScratch::Worker& w : scratch_.workers) w.resize(group_size, K);
   return n;
 }
 
@@ -903,22 +856,18 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
 
   const std::size_t branch_draws = pd_draws_per_branch(config_.bank.photodiode);
   const std::size_t draws_per_pixel = n_kernel + 2 * branch_draws * K * G;
-  const std::size_t workers =
-      prepare_workers(pixels, pd_draw_count_fixed(config_.bank.photodiode),
-                      plan.group_size, K);
+  const std::size_t workers = prepare_workers(pixels, plan.group_size, K);
   SweepCtx ctx =
       make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
                      /*accumulate=*/false, bias, out, scratch_);
   point_at_block(ctx, prog, 0);
 
-  sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
+  sweep_pixels(ctx, workers, noise_key(rng_, bw), scratch_, pool_.get());
+  // One bank pass per group and one ADC sample per kernel at each pixel.
+  stats.optical_passes += pixels * G;
+  stats.adc_conversions += pixels * K;
   stats.patches_streamed += pixels;
   if (bw > 0.0) stats.noise_draws += pixels * draws_per_pixel;
-
-  for (const EngineScratch::Worker& w : scratch_.workers) {
-    stats.optical_passes += w.optical_passes;
-    stats.adc_conversions += w.adc_conversions;
-  }
 
   if (src.keep) keep_program(store_, std::move(src.key), std::move(fresh));
   return out;
@@ -1006,9 +955,7 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
 
   const std::size_t branch_draws = pd_draws_per_branch(config_.bank.photodiode);
   const std::size_t draws_per_pixel = per_channel + 2 * branch_draws * K * G;
-  const std::size_t workers =
-      prepare_workers(pixels, pd_draw_count_fixed(config_.bank.photodiode),
-                      plan.group_size, K);
+  const std::size_t workers = prepare_workers(pixels, plan.group_size, K);
   SweepCtx ctx =
       make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
                      /*accumulate=*/true, bias, out, scratch_);
@@ -1032,7 +979,10 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
 
     point_at_block(ctx, prog, b);
     ctx.patch_offset = c * per_channel;
-    sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
+    sweep_pixels(ctx, workers, noise_key(rng_, bw), scratch_, pool_.get());
+    // Every group's pass is digitized per kernel.
+    stats.optical_passes += pixels * G;
+    stats.adc_conversions += pixels * G * K;
     stats.patches_streamed += pixels;
     if (bw > 0.0) stats.noise_draws += pixels * draws_per_pixel;
   }
@@ -1050,11 +1000,6 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
       fresh.setup.total_heater_power += bank.total_heater_power();
   cal_err.report(fresh.setup);
   add_setup(stats, prog.setup);
-
-  for (const EngineScratch::Worker& w : scratch_.workers) {
-    stats.optical_passes += w.optical_passes;
-    stats.adc_conversions += w.adc_conversions;
-  }
 
   if (src.keep) keep_program(store_, std::move(src.key), std::move(fresh));
   return out;
@@ -1102,7 +1047,6 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   }
 
   const AnalogChain chain = make_chain(config_, out_n);
-  const phot::LaserDiode laser(config_.laser);
   const phot::MachZehnderModulator mzm(config_.mzm);
   const phot::BalancedPhotodiode pd(config_.bank.photodiode);
   const elec::Dac input_dac(config_.input_dac);
@@ -1131,6 +1075,12 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, in, mean_x_sq, mean_w_sq);
 
+  // The call is one kernel location: one stream, keyed like pixel 0 of a
+  // sweep, in the draw order of LaserDiode::emit and
+  // BalancedPhotodiode::detect.
+  NormalStream z(NormalStream::element_key(noise_key(rng_, bw), 0));
+  const double laser_sigma = rin_sigma(config_, chain.p0, bw);
+
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
   std::vector<double> powers;
@@ -1145,7 +1095,10 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     for (std::size_t i = 0; i < width; ++i) {
       double x = input[begin + i] / x_scale;
       if (config_.enable_quantization) x = input_dac.convert(x);
-      powers[i] = mzm.modulate(laser.emit(bw, rng_) * chain.bcast, x);
+      const double emit =
+          bw > 0.0 ? std::max(0.0, chain.p0 + laser_sigma * z.next())
+                   : chain.p0;
+      powers[i] = mzm.modulate(emit * chain.bcast, x);
     }
 
     const std::size_t b = prog.block(s);
@@ -1170,7 +1123,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
         p_drop += powers[i] * drop[i * out_n + o];
         p_thru += powers[i] * thru[i * out_n + o];
       }
-      const double current = pd.detect(p_drop, p_thru, bw, rng_);
+      const double current =
+          detect_balanced<true>(pd, p_drop, p_thru, bw, z);
       acc[o] += (current - base[o]) / chain.denom_current;
     }
     ++st.optical_passes;

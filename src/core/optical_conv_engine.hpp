@@ -33,13 +33,18 @@
 //    RNG, a layer's program is kept per engine and read in place by later
 //    calls with the same weights, bit-identical to reprogramming it (see
 //    programmed_bytes());
+//  * keyed per-pixel noise — each noisy sweep pass takes one key from the
+//    engine RNG, and pixel p draws its laser RIN and photodiode noise from
+//    its own NormalStream (common/normal_stream.hpp) keyed by (that key,
+//    p), so a pixel's noise depends only on (request seed, sweep, pixel,
+//    draw index);
 //  * optional deterministic intra-image parallelism — kernel locations are
 //    partitioned into fixed tiles across PcnnaConfig::engine_threads
-//    workers. Outputs are bit-identical for every thread count: per-pixel
-//    accumulation order is unchanged, and with noise enabled the per-pixel
-//    RNG draws are pre-generated in sequential pixel order before the tiles
-//    fan out (tests/test_engine_hot_path.cpp proves A/B bit-identity
-//    against the frozen pre-rewrite engine in engine_reference.hpp).
+//    workers, noisy or not. Outputs are bit-identical for every thread
+//    count: per-pixel accumulation order is unchanged and per-pixel noise
+//    does not depend on the tiling. With noise off, outputs are also
+//    bit-identical to the frozen pre-rewrite engine in engine_reference.hpp
+//    (tests/test_engine_hot_path.cpp).
 #pragma once
 
 #include <cstdint>
@@ -65,10 +70,11 @@ struct EngineStats {
   /// once per input channel). Filled by the streaming engine only; the
   /// frozen reference engine leaves it zero.
   std::uint64_t patches_streamed = 0;
-  /// Noise-source draws consumed by the pixel sweep (shot/thermal/branch
-  /// noise): pixels * draws_per_pixel when noise is enabled, zero on the
-  /// ideal config. A pure function of the layer plan — independent of
-  /// engine_threads by the pre-drawn parallel noise contract.
+  /// Standard normals the pixel sweep draws (laser RIN and photodiode
+  /// branch noise): pixels * draws_per_pixel when noise is enabled, zero on
+  /// the ideal config. A pure function of the layer plan, independent of
+  /// engine_threads. Shot-only noise with zero dark current draws nothing
+  /// for an exactly-zero branch current; the count stays nominal.
   std::uint64_t noise_draws = 0;
   std::uint64_t weight_dac_conversions = 0;
   std::uint64_t recalibrations = 0;    ///< bank retuning episodes
@@ -137,22 +143,32 @@ struct EngineScratch {
   // The calibrated bank programs the sweep reads are not scratch: they live
   // in the engine's programmed-layer store (or, for a layer the store does
   // not keep, in a program local to the call), read in place.
-  /// Pre-drawn standard normals for the parallel noisy path, in sequential
-  /// pixel order (see docs/architecture.md for the determinism argument).
-  std::vector<double> noise_z;
 
   // --- calibration staging (layer setup only) ---
   std::vector<double> targets;
   std::vector<phot::WeightBank::ChannelSplit> splits;
 
   // --- per-worker hot-loop buffers ---
+  /// One worker's buffers, carved from one allocation with a cache line of
+  /// padding on both sides, so two workers never write to one cache line.
   struct Worker {
-    std::vector<double> powers;          ///< modulated powers of one group
-    std::vector<double> drop_acc;        ///< per-kernel drop-bus dot product
-    std::vector<double> thru_acc;        ///< per-kernel through-bus dot product
-    std::vector<double> acc;             ///< per-kernel normalized MAC
-    std::uint64_t optical_passes = 0;
-    std::uint64_t adc_conversions = 0;
+    static constexpr std::size_t kPad = 64 / sizeof(double);
+    std::vector<double> buf;
+    std::size_t group_size = 0;
+    std::size_t K = 0;
+
+    void resize(std::size_t group_width, std::size_t kernels) {
+      group_size = group_width;
+      K = kernels;
+      buf.resize(kPad + group_size + 3 * K + kPad);
+    }
+    /// Modulated powers of one group.
+    double* powers() { return buf.data() + kPad; }
+    /// Per-kernel drop-bus and through-bus dot products.
+    double* drop_acc() { return powers() + group_size; }
+    double* thru_acc() { return drop_acc() + K; }
+    /// Per-kernel normalized MAC.
+    double* acc() { return thru_acc() + K; }
   };
   std::vector<Worker> workers;
 };
@@ -236,8 +252,8 @@ class OpticalConvEngine {
   /// Decide the worker count for one layer's pixel sweep and make the pool
   /// and per-worker scratch (sized for `group_size` channels and K kernel
   /// accumulators) match it.
-  std::size_t prepare_workers(std::size_t pixels, bool fixed_draw_count,
-                              std::size_t group_size, std::size_t K);
+  std::size_t prepare_workers(std::size_t pixels, std::size_t group_size,
+                              std::size_t K);
 
   PcnnaConfig config_;
   Rng rng_;

@@ -177,6 +177,9 @@ std::uint64_t run_digest(const core::NetworkRunReport& r) {
   return h;
 }
 
+// Recorded with the keyed per-pixel ziggurat noise (common/normal_stream.hpp).
+// The digests cover noisy output bits, so they change whenever the engine's
+// noise stream does; the bank digests above do not.
 TEST(EngineGolden, NoisyLenet5MatchesPinnedDigests) {
   Rng rng(15);
   const nn::Network net = nn::lenet5();
@@ -194,11 +197,11 @@ TEST(EngineGolden, NoisyLenet5MatchesPinnedDigests) {
     std::uint64_t digest;
   } cases[] = {
       {"paper_defaults, full-kernel", PcnnaConfig::paper_defaults(), 0,
-       0x4778CEC8EF12854Dull},
+       0xA2D384FB1838668Eull},
       {"small_core, per-channel", PcnnaConfig::small_core(), 0,
-       0x5EA80B89935410D9ull},
-      {"paper_defaults, fully_connected", fc, 2, 0x27646805CCAD3991ull},
-      {"paper_defaults, stuck rings", faulty, 0, 0xEDE9D93AA99B4EBBull},
+       0xF75E3E703F643DFAull},
+      {"paper_defaults, fully_connected", fc, 2, 0xA905B810A88190B4ull},
+      {"paper_defaults, stuck rings", faulty, 0, 0x1B1B0B0C21C57ADBull},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);

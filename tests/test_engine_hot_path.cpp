@@ -1,6 +1,7 @@
-// PR 3 hot-path rewrite: A/B bit-identity against the frozen reference
-// engine, scratch-buffer reuse, determinism under intra-image parallelism,
-// and the pinned RNG draw-order contracts.
+// The engine hot path: A/B bit-identity against the frozen reference engine
+// (the ideal-path oracle: every noise-free case, EngineStats included),
+// thread-count bit-identity of the keyed per-pixel noise, scratch-buffer
+// reuse, and the pinned RNG draw-order contracts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -67,6 +68,7 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b) {
 /// engine_threads in {1, 2, 4}; every variant must be bit-identical.
 void expect_ab_identity(PcnnaConfig cfg, const nn::ConvLayerParams& layer,
                         bool signed_input = false) {
+  ASSERT_FALSE(cfg.enable_noise) << "noisy bits differ from the reference";
   const LayerData d = make_data(layer, 42, signed_input);
   ReferenceConvEngine reference(cfg);
   EngineStats ref_stats;
@@ -87,16 +89,64 @@ void expect_ab_identity(PcnnaConfig cfg, const nn::ConvLayerParams& layer,
   }
 }
 
+/// A noisy config keeps two oracles. Its noise-free twin (enable_noise =
+/// false, every other knob kept) must match the frozen reference bitwise,
+/// EngineStats included. With noise on, the output and EngineStats must be
+/// bitwise equal at engine_threads 1, 2 and 4, set-up stats must still match
+/// the reference, and the noise must reach the output.
+void expect_noisy_contract(const PcnnaConfig& cfg,
+                           const nn::ConvLayerParams& layer,
+                           bool signed_input = false) {
+  ASSERT_TRUE(cfg.enable_noise);
+  PcnnaConfig quiet_cfg = cfg;
+  quiet_cfg.enable_noise = false;
+  {
+    SCOPED_TRACE("noise off vs the frozen reference");
+    expect_ab_identity(quiet_cfg, layer, signed_input);
+  }
+
+  const LayerData d = make_data(layer, 42, signed_input);
+  ReferenceConvEngine reference(cfg);
+  EngineStats ref_stats;
+  reference.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &ref_stats);
+  OpticalConvEngine quiet(quiet_cfg);
+  const nn::Tensor silent =
+      quiet.conv2d(d.input, d.weights, d.bias, layer.s, layer.p);
+
+  nn::Tensor t1;
+  EngineStats t1_stats;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    PcnnaConfig tcfg = cfg;
+    tcfg.engine_threads = threads;
+    OpticalConvEngine engine(tcfg);
+    EngineStats stats;
+    const nn::Tensor got =
+        engine.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &stats);
+    expect_stats_equal(ref_stats, stats);
+    if (threads == 1) {
+      t1 = got;
+      t1_stats = stats;
+      EXPECT_FALSE(got == silent) << "noise did not reach the output";
+      EXPECT_GT(stats.noise_draws, 0u);
+      continue;
+    }
+    EXPECT_TRUE(t1 == got) << "threads=" << threads
+                           << " max|diff|=" << nn::max_abs_diff(t1, got);
+    EXPECT_EQ(t1_stats.noise_draws, stats.noise_draws);
+    EXPECT_EQ(t1_stats.patches_streamed, stats.patches_streamed);
+  }
+}
+
 TEST(EngineAbIdentity, IdealConfig) {
   expect_ab_identity(PcnnaConfig::ideal(), kLayerA);
 }
 
 TEST(EngineAbIdentity, PaperDefaultsNoiseAndQuantization) {
-  expect_ab_identity(PcnnaConfig::paper_defaults(), kLayerA);
+  expect_noisy_contract(PcnnaConfig::paper_defaults(), kLayerA);
 }
 
 TEST(EngineAbIdentity, SecondLayerShape) {
-  expect_ab_identity(PcnnaConfig::paper_defaults(), kLayerB);
+  expect_noisy_contract(PcnnaConfig::paper_defaults(), kLayerB);
 }
 
 TEST(EngineAbIdentity, QuantizationOnly) {
@@ -108,19 +158,19 @@ TEST(EngineAbIdentity, QuantizationOnly) {
 TEST(EngineAbIdentity, NoiseOnly) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.enable_quantization = false;
-  expect_ab_identity(cfg, kLayerA);
+  expect_noisy_contract(cfg, kLayerA);
 }
 
 TEST(EngineAbIdentity, StuckRingFaults) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.stuck_ring_rate = 0.1;
-  expect_ab_identity(cfg, kLayerA);
+  expect_noisy_contract(cfg, kLayerA);
 }
 
 TEST(EngineAbIdentity, PerChannelAllocation) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.allocation = RingAllocation::kPerChannel;
-  expect_ab_identity(cfg, kLayerA);
+  expect_noisy_contract(cfg, kLayerA);
 }
 
 TEST(EngineAbIdentity, PerChannelIdeal) {
@@ -132,7 +182,7 @@ TEST(EngineAbIdentity, PerChannelIdeal) {
 TEST(EngineAbIdentity, DualRailSignedInputs) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.dual_rail_inputs = true;
-  expect_ab_identity(cfg, kLayerA, /*signed_input=*/true);
+  expect_noisy_contract(cfg, kLayerA, /*signed_input=*/true);
 }
 
 TEST(EngineAbIdentity, WideReceptiveFieldSplitsIntoGroups) {
@@ -140,17 +190,18 @@ TEST(EngineAbIdentity, WideReceptiveFieldSplitsIntoGroups) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.max_wavelengths = 48;
   const nn::ConvLayerParams wide{"wide", 6, 4, 1, 1, 8, 3};
-  expect_ab_identity(cfg, wide);
+  expect_noisy_contract(cfg, wide);
 }
 
-// Shot noise with zero dark current makes the photodiode draw count
-// data-dependent; the engine must fall back to the sequential noisy path
-// and still match the reference for any requested thread count.
-TEST(EngineAbIdentity, ShotOnlyZeroDarkFallsBackSequential) {
+// Shot noise with zero dark current makes a pixel's draw count depend on
+// its data (a branch with zero current draws nothing). Each pixel owns its
+// noise stream, so this config runs in parallel like any other and stays
+// bit-identical across thread counts.
+TEST(EngineAbIdentity, ShotOnlyZeroDarkThreadsBitIdentical) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.bank.photodiode.enable_thermal_noise = false;
   cfg.bank.photodiode.dark_current = 0.0;
-  expect_ab_identity(cfg, kLayerA);
+  expect_noisy_contract(cfg, kLayerA);
 }
 
 // --- scratch-buffer reuse -------------------------------------------------
@@ -213,8 +264,9 @@ TEST(EngineScratchReuse, PerChannelAllocationAcrossLayers) {
 }
 
 // After a threaded noisy conv, the engine RNG must sit at exactly the same
-// state as after a sequential one — the pre-drawn noise stream consumes the
-// generator identically. Proven by running a second conv afterwards.
+// state as after a sequential one — each sweep takes one noise key from the
+// generator at every thread count. Proven by running a second conv
+// afterwards.
 TEST(EngineScratchReuse, RngStateUnperturbedByThreads) {
   const LayerData a = make_data(kLayerA);
 
