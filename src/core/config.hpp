@@ -106,8 +106,8 @@ struct PcnnaConfig {
   /// threads sweeping kernel locations of one conv layer (1 = sequential).
   /// Outputs are bit-identical for any value — pixels are partitioned into
   /// fixed tiles, per-pixel accumulation order is unchanged, and with noise
-  /// enabled the per-pixel RNG draws are pre-generated in the sequential
-  /// pixel order before the tiles fan out. Purely a host-simulation knob;
+  /// enabled each pixel draws from its own stream keyed by (request seed,
+  /// sweep, pixel), whichever tile runs it. Purely a host-simulation knob;
   /// no modeled hardware quantity depends on it. The serving runtime
   /// multiplies this by its per-PCU worker threads, so keep the product
   /// within the host core budget.

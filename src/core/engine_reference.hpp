@@ -1,15 +1,19 @@
-// FROZEN reference implementation of the optical conv engine (PR 3).
+// FROZEN reference implementation of the optical conv engine.
 //
 // This is a verbatim snapshot of the pre-rewrite OpticalConvEngine::conv2d
 // hot path: per-pixel receptive-field vectors are allocated inside the
 // oy/ox loops, DAC quantization and MZM transfer are re-evaluated per pixel,
-// and bank responses are consumed in array-of-structs form. It exists for
-// exactly two purposes:
+// bank responses are consumed in array-of-structs form, and noise is drawn
+// from the engine RNG one Box–Muller normal at a time. It exists for
+// exactly three purposes:
 //
-//  * the A/B bit-identity tests — the rewritten engine must produce
-//    bit-identical outputs (and an identical RNG trajectory) for every
-//    configuration, so every serving-runtime guarantee built on the old
-//    engine carries over;
+//  * the ideal-path oracle of the A/B bit-identity tests — with noise off
+//    the rewritten engine must produce bit-identical outputs and
+//    EngineStats for every configuration, so every serving-runtime
+//    guarantee built on the old engine carries over;
+//  * the old sampler — the rewritten engine draws noise from keyed
+//    per-pixel streams instead, and tests/test_noise_properties.cpp checks
+//    its noise statistics against this engine's;
 //  * the perf harness — bench_micro_engine times this snapshot against the
 //    rewritten engine to report the speedup in BENCH_engine.json.
 //
