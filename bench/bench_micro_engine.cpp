@@ -21,7 +21,10 @@
 //
 // Thread-scaling rows (speedup_vs_t1) are reported but not gated: CI
 // runners and dev machines differ in core count (a 1-core host shows
-// ~1.0x).
+// ~1.0x). Nor are the LeNet-5 c1/c3-shaped single-thread rows
+// (engine_lenet_c{1,3}_{ideal,noisy}_t1), which time the MAC kernel's panel
+// shapes as the served network runs them and only warn when the engine is
+// slower than the frozen reference.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -195,6 +198,45 @@ int main() {
                  ref_t, threads == 1 ? 0.0 : t1);
       if (c.config.enable_noise == false && threads == 1)
         ideal_t1_speedup = ref_t / t;
+    }
+  }
+
+  // --- LeNet-5-shaped sweeps (warn-only) ---------------------------------
+  // The MAC kernel's panel shapes as the served network runs them: c1 has
+  // K = 6 (one tail panel) over one 25-channel group, c3 K = 16 (two full
+  // panels) over 150 channels in two groups. Timed single-threaded on the
+  // warm engine, as a fleet PCU serves; no gate, host times vary.
+  sink.separator();
+  const nn::ConvLayerParams lenet_layers[] = {
+      {"lenet_c1", 32, 5, 0, 1, 1, 6}, {"lenet_c3", 14, 5, 0, 1, 6, 16}};
+  for (const nn::ConvLayerParams& layer : lenet_layers) {
+    Rng rng(7);
+    const nn::Tensor input = nn::make_input(layer, rng);
+    const nn::Tensor weights = nn::make_conv_weights(layer, rng);
+    const nn::Tensor bias = nn::make_conv_bias(layer, rng);
+    const double layer_macs = static_cast<double>(layer.macs());
+    for (const EngineCase& c : cases) {
+      core::ReferenceConvEngine reference(c.config);
+      const double ref_t = time_per_call([&] {
+        reference.reset_rng();
+        reference.conv2d(input, weights, bias, layer.s, layer.p);
+      });
+      core::OpticalConvEngine engine(with_threads(c.config, 1));
+      const double t = time_per_call([&] {
+        engine.reset_rng();
+        engine.conv2d(input, weights, bias, layer.s, layer.p);
+      });
+      const std::string name = "engine_" + layer.name +
+                               (c.config.enable_noise ? "_noisy" : "_ideal") +
+                               "_t1";
+      json.row(name, "wall_time_per_conv", t, "s");
+      json.row(name, "speedup_vs_reference", ref_t / t, "x");
+      sink.row({name, format_time(t), format_fixed(ref_t / t, 2) + " x",
+                format_fixed(layer_macs / t / 1e6, 1)});
+      if (t > ref_t)
+        std::cout << "WARN: " << name << " is slower than the frozen"
+                  << " reference (" << format_time(t) << " vs "
+                  << format_time(ref_t) << ")\n";
     }
   }
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "common/error.hpp"
@@ -32,6 +33,19 @@ inline double dbm_to_watts(double dbm) { return 1e-3 * std::pow(10.0, dbm / 10.0
 inline double clamp(double v, double lo, double hi) {
   PCNNA_DCHECK(lo <= hi);
   return std::min(std::max(v, lo), hi);
+}
+
+/// std::round (half away from zero) without a libm call on the range the
+/// converters use. For y in [0, 2^52) the truncation t is exact, y - t is
+/// the exact fraction and t + 1 is exact, so the result is bit-identical to
+/// std::round(y), -0.0 included (copysign). Larger values and NaN fall back
+/// to std::round. The rounding itself is branchless: a data-dependent
+/// branch on the fraction costs a misprediction per converted sample.
+inline double round_half_away(double y) {
+  if (!(y >= 0.0 && y < 0x1p52)) [[unlikely]]
+    return std::round(y);
+  const double t = static_cast<double>(static_cast<std::int64_t>(y));
+  return std::copysign(t + static_cast<double>(y - t >= 0.5), y);
 }
 
 /// Linear interpolation.

@@ -27,7 +27,17 @@ const ZigguratTables& ziggurat_tables() {
   return tables;
 }
 
-double NormalStream::next_slow(std::size_t i, double u) {
+NormalStream::Slow NormalStream::next_slow(std::uint64_t counter,
+                                           std::size_t i, double u,
+                                           const ZigguratTables& t) {
+  const auto next_u64 = [&counter] {
+    counter += kGamma;
+    return mix64(counter);
+  };
+  // Uniform in [0, 1).
+  const auto uniform = [&next_u64] {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  };
   for (;;) {
     if (i == 0) {
       // Tail beyond R (Marsaglia 1964): x = -ln(U1) / R, accepted when
@@ -38,19 +48,19 @@ double NormalStream::next_slow(std::size_t i, double u) {
         x = std::log(1.0 - uniform()) / R;
         y = std::log(1.0 - uniform());
       } while (-2.0 * y < x * x);
-      return u < 0.0 ? x - R : R - x;
+      return {counter, u < 0.0 ? x - R : R - x};
     }
     // Wedge: accept x when a uniform height in [f(x[i]), f(x[i + 1])] falls
     // under f(x); both bounds are taken relative to f(x).
-    const double x = u * t_->x[i];
-    const double f0 = std::exp(-0.5 * (t_->x[i] * t_->x[i] - x * x));
-    const double f1 = std::exp(-0.5 * (t_->x[i + 1] * t_->x[i + 1] - x * x));
-    if (f1 + uniform() * (f0 - f1) < 1.0) return x;
+    const double x = u * t.x[i];
+    const double f0 = std::exp(-0.5 * (t.x[i] * t.x[i] - x * x));
+    const double f1 = std::exp(-0.5 * (t.x[i + 1] * t.x[i + 1] - x * x));
+    if (f1 + uniform() * (f0 - f1) < 1.0) return {counter, x};
 
     const std::uint64_t w = next_u64();
     i = w & (ZigguratTables::kLayers - 1);
     u = static_cast<double>(w >> 11) * 0x1.0p-52 - 1.0;
-    if (std::abs(u) < t_->ratio[i]) return u * t_->x[i];
+    if (std::abs(u) < t.ratio[i]) return {counter, u * t.x[i]};
   }
 }
 

@@ -74,14 +74,21 @@ class NormalStream {
     const std::size_t i = w & (ZigguratTables::kLayers - 1);
     const double u = static_cast<double>(w >> 11) * 0x1.0p-52 - 1.0;
     if (std::abs(u) < t_->ratio[i]) return u * t_->x[i];
-    return next_slow(i, u);
+    const Slow s = next_slow(counter_, i, u, *t_);
+    counter_ = s.counter;
+    return s.z;
   }
 
  private:
-  /// The wedge and tail cases of next(), drawing again on a rejection.
-  double next_slow(std::size_t i, double u);
-  /// Uniform in [0, 1).
-  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
+  struct Slow {
+    std::uint64_t counter; ///< the stream's counter after the draw
+    double z;
+  };
+  /// The wedge and tail cases of next(), drawing again on a rejection. It
+  /// takes the counter by value and returns it, so the stream's address
+  /// never escapes and a caller's counter stays in a register.
+  static Slow next_slow(std::uint64_t counter, std::size_t i, double u,
+                        const ZigguratTables& t);
 
   std::uint64_t counter_;
   const ZigguratTables* t_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -25,13 +26,19 @@
 // reassociates. Concretely:
 //
 //  * per-element math (normalize, DAC quantize, MZM transfer) is hoisted
-//    out of the pixel loops into per-layer tables — legal because they are
-//    pure functions of the input element, evaluated with the identical
+//    out of the pixel loops into the per-layer padded transfer plane —
+//    legal because they are pure functions of the input element (a padded
+//    element is the transfer of 0), evaluated with the identical
 //    expressions;
-//  * each per-bank dot product accumulates channel-ascending with += ,
-//    exactly like the reference — the loop interchange to K independent
-//    accumulation chains changes the schedule, never the per-accumulator
-//    addition order;
+//  * each per-bank dot product starts at 0.0 and adds p * w
+//    channel-ascending with a separate multiply and add, exactly like the
+//    reference — the register-blocked MAC kernel (mac_panel) gives each
+//    kernel its own SIMD lane, so the K-panel layout and the vector width
+//    change the schedule, never a lane's operations or their order. The
+//    build targets baseline SSE2 (no -march) in ISO C++ mode, so nothing
+//    contracts a multiply and its add into an FMA;
+//  * the inline converters round half away from zero without libm
+//    (round_half_away), bit-identical to the std::round they replaced;
 //  * set-up draws (bank fabrication, inject_stuck_faults,
 //    measured_usable_range) come from the engine RNG sequentially in
 //    construction order, exactly as in the reference.
@@ -174,11 +181,13 @@ std::size_t pd_draws_per_branch(const phot::PhotodiodeConfig& pd) {
 struct SweepCtx {
   const GroupSlice* groups = nullptr;
   std::size_t n_groups = 0;
-  const double* transfer = nullptr;
-  double transfer_pad = 0.0;
-  const std::int32_t* patch = nullptr;
-  std::size_t n_kernel = 0;   ///< patch row stride
-  std::size_t patch_offset = 0; ///< per-channel allocation: c * m * m
+  const double* plane = nullptr; ///< padded transfer plane
+  /// Gather offsets of the receptive field (per-channel allocation: from
+  /// channel c's first entry, offsets + c * m * m).
+  const std::size_t* offsets = nullptr;
+  std::size_t side = 0;    ///< output feature-map side
+  std::size_t stride = 1;
+  std::size_t plane_w = 0; ///< padded plane row length W + 2p
   const double* drop_t = nullptr;
   const double* thru_t = nullptr;
   const double* baseline = nullptr;
@@ -204,16 +213,90 @@ struct SweepCtx {
   bool accumulate = false;
 };
 
-/// Inner MAC step: rank-1 update of the K drop/through accumulators with
-/// one channel's power. The __restrict qualifiers let the compiler
-/// vectorize across the K independent chains — legal bitwise because each
-/// chain's addition order is untouched (lanes are distinct accumulators).
-inline void mac_update(std::size_t K, double pw, const double* __restrict dr,
-                       const double* __restrict th, double* __restrict dacc,
-                       double* __restrict tacc) {
-  for (std::size_t k = 0; k < K; ++k) {
-    dacc[k] += pw * dr[k];
-    tacc[k] += pw * th[k];
+// --- MAC kernel ------------------------------------------------------------
+
+/// Kernels per panel of a bank program (see panel_index).
+constexpr std::size_t kPanel = 8;
+
+/// Offset of channel i, kernel k within one group's block of a bank
+/// program, for a pass of `width` channels and K kernels. The block is cut
+/// into panels of kPanel kernels (the last one K % kPanel wide); a panel is
+/// channel-major and contiguous, so the MAC kernel reads it as one linear
+/// stream whatever K is.
+inline std::size_t panel_index(std::size_t width, std::size_t K, std::size_t i,
+                               std::size_t k) {
+  const std::size_t k0 = k - k % kPanel;
+  return k0 * width + i * std::min(kPanel, K - k0) + (k - k0);
+}
+
+/// Two doubles in one SSE2 register (the build sets no -march, so SSE2 is
+/// the x86-64 baseline).
+using v2d = double __attribute__((vector_size(16)));
+
+inline v2d load2(const double* p) {
+  v2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store2(double* p, v2d v) { std::memcpy(p, &v, sizeof v); }
+
+/// Rank-1 MAC of one N-kernel panel over `width` channels: the N drop and N
+/// through accumulators stay in registers across the channels. Each lane is
+/// its own accumulator that starts at 0.0 and adds p * w channel-ascending
+/// with a separate multiply and add, so every value is bit-identical to the
+/// scalar loop `acc[k] += p[i] * w[i][k]`.
+template <std::size_t N>
+inline void mac_panel(std::size_t width, const double* __restrict powers,
+                      const double* __restrict dr, const double* __restrict th,
+                      double* __restrict dacc, double* __restrict tacc) {
+  constexpr std::size_t V = N / 2;
+  v2d d[V + 1] = {}, t[V + 1] = {}; // + 1: N = 1 has no vector lane
+  double ds = 0.0, ts = 0.0; // the odd lane of an odd N
+  for (std::size_t i = 0; i < width; ++i, dr += N, th += N) {
+    const double p = powers[i];
+    const v2d pv = {p, p};
+    for (std::size_t v = 0; v < V; ++v) {
+      d[v] = d[v] + pv * load2(dr + 2 * v);
+      t[v] = t[v] + pv * load2(th + 2 * v);
+    }
+    if constexpr (N % 2 == 1) {
+      ds = ds + p * dr[N - 1];
+      ts = ts + p * th[N - 1];
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v) {
+    store2(dacc + 2 * v, d[v]);
+    store2(tacc + 2 * v, t[v]);
+  }
+  if constexpr (N % 2 == 1) {
+    dacc[N - 1] = ds;
+    tacc[N - 1] = ts;
+  }
+}
+
+/// The engine's one MAC kernel: the K drop/through dot products of one
+/// group pass of `width` channels over the group's panel-laid program.
+inline void mac_group(std::size_t K, std::size_t width, const double* powers,
+                      const double* drop, const double* thru, double* dacc,
+                      double* tacc) {
+  std::size_t k0 = 0;
+  for (; k0 + kPanel <= K; k0 += kPanel)
+    mac_panel<kPanel>(width, powers, drop + k0 * width, thru + k0 * width,
+                      dacc + k0, tacc + k0);
+  drop += k0 * width;
+  thru += k0 * width;
+  dacc += k0;
+  tacc += k0;
+  switch (K - k0) {
+  case 1: mac_panel<1>(width, powers, drop, thru, dacc, tacc); break;
+  case 2: mac_panel<2>(width, powers, drop, thru, dacc, tacc); break;
+  case 3: mac_panel<3>(width, powers, drop, thru, dacc, tacc); break;
+  case 4: mac_panel<4>(width, powers, drop, thru, dacc, tacc); break;
+  case 5: mac_panel<5>(width, powers, drop, thru, dacc, tacc); break;
+  case 6: mac_panel<6>(width, powers, drop, thru, dacc, tacc); break;
+  case 7: mac_panel<7>(width, powers, drop, thru, dacc, tacc); break;
+  default: break;
   }
 }
 
@@ -223,7 +306,9 @@ inline void mac_update(std::size_t K, double pw, const double* __restrict dr,
 template <bool kNoise>
 void conv_pixel(const SweepCtx& c, std::size_t p, NormalStream& z,
                 EngineScratch::Worker& wk) {
-  const std::int32_t* prow = c.patch + p * c.n_kernel + c.patch_offset;
+  const std::size_t oy = p / c.side;
+  const std::size_t ox = p % c.side;
+  const double* field = c.plane + oy * c.stride * c.plane_w + ox * c.stride;
   double* powers = wk.powers();
   double* dacc = wk.drop_acc();
   double* tacc = wk.thru_acc();
@@ -233,11 +318,11 @@ void conv_pixel(const SweepCtx& c, std::size_t p, NormalStream& z,
   for (std::size_t g = 0; g < c.n_groups; ++g) {
     const GroupSlice& slice = c.groups[g];
     const std::size_t width = slice.size();
-    // Modulate this group's input slice through the precomputed transfer
-    // table (gather via the im2col patch map).
+    // Modulate this group's input slice: gather from the padded transfer
+    // plane through the layer's offset table.
+    const std::size_t* off = c.offsets + slice.begin;
     for (std::size_t i = 0; i < width; ++i) {
-      const std::int32_t idx = prow[slice.begin + i];
-      const double tf = idx >= 0 ? c.transfer[idx] : c.transfer_pad;
+      const double tf = field[off[i]];
       if constexpr (kNoise) {
         const double emit =
             std::max(0.0, c.laser_mean + c.laser_sigma * z.next());
@@ -247,15 +332,11 @@ void conv_pixel(const SweepCtx& c, std::size_t p, NormalStream& z,
       }
     }
 
-    // Branch-free MAC: K independent drop/through accumulation chains over
-    // the transposed bank responses; each chain adds channel-ascending,
-    // exactly like the reference inner loop.
-    std::fill(dacc, dacc + c.K, 0.0);
-    std::fill(tacc, tacc + c.K, 0.0);
-    const double* drop = c.drop_t + c.group_base[g];
-    const double* thru = c.thru_t + c.group_base[g];
-    for (std::size_t i = 0; i < width; ++i)
-      mac_update(c.K, powers[i], drop + i * c.K, thru + i * c.K, dacc, tacc);
+    // K independent drop/through accumulation chains over the group's
+    // panels; each chain adds channel-ascending, exactly like the reference
+    // inner loop.
+    mac_group(c.K, width, powers, c.drop_t + c.group_base[g],
+              c.thru_t + c.group_base[g], dacc, tacc);
 
     const double* base = c.baseline + g * c.K;
     if (!c.accumulate) {
@@ -326,14 +407,14 @@ void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
 }
 
 /// One layer's calibrated bank program: everything bank set-up produces.
-/// Transposed structure-of-arrays layout with one block per programming
-/// pass (one for full-kernel, one per input channel for per-channel, one
-/// per input slice for fully_connected): in pass block b the drop/through
-/// response of group g, channel i, kernel k lives at
-/// b * pass_size() + group_base[g] + i * K + k (contiguous in k so the
-/// per-pixel MAC keeps K independent accumulation chains on contiguous
-/// memory), and the balanced baseline current at
-/// baseline[(b * groups() + g) * K + k].
+/// Structure-of-arrays layout with one block per programming pass (one for
+/// full-kernel, one per input channel for per-channel, one per input slice
+/// for fully_connected): in pass block b the drop/through response of
+/// group g, channel i, kernel k lives at
+/// b * pass_size() + group_base[g] + panel_index(width, K, i, k), where
+/// width is the pass's channel count in that group (K-panels, so the MAC
+/// kernel streams each panel linearly), and the balanced baseline current
+/// at baseline[(b * groups() + g) * K + k].
 struct ProgrammedLayer {
   std::vector<double> drop_t, thru_t, baseline;
   std::vector<std::size_t> group_base;
@@ -413,8 +494,8 @@ void program_bank_soa(phot::WeightBank& bank, const double* w, std::size_t g,
   prog.baseline[(b * prog.groups() + g) * K + k] = chain.resp * base;
   const std::size_t gb = b * prog.pass_size() + prog.group_base[g];
   for (std::size_t i = 0; i < width; ++i) {
-    prog.drop_t[gb + i * K + k] = s.splits[i].drop;
-    prog.thru_t[gb + i * K + k] = s.splits[i].thru;
+    prog.drop_t[gb + panel_index(width, K, i, k)] = s.splits[i].drop;
+    prog.thru_t[gb + panel_index(width, K, i, k)] = s.splits[i].thru;
   }
 }
 
@@ -446,26 +527,25 @@ struct ProgramKey {
   friend bool operator==(const ProgramKey&, const ProgramKey&) = default;
 };
 
-/// Word-at-a-time digest of the values' bit patterns: four independent
-/// multiply-rotate lanes, then a SplitMix64 fold. Every step is a bijection
-/// of its state for a fixed input word, so changing any one value always
-/// changes the digest.
+/// Word-at-a-time digest of the values' bit patterns: eight independent
+/// lanes of h' = rotl(h ^ w, 29) * P (one multiply per word), then a
+/// SplitMix64 fold. Every step is a bijection of its state for a fixed
+/// input word, and of the word for a fixed state, so changing any one value
+/// always changes the digest.
 std::uint64_t weight_digest(std::span<const double> values) {
-  constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
-  constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
-  std::uint64_t lane[4] = {kP1, kP2, ~kP1, ~kP2};
+  constexpr std::uint64_t kP = 0x9E3779B185EBCA87ull;
+  constexpr std::size_t kLanes = 8;
+  std::uint64_t lane[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) lane[j] = mix64(j + 1);
   const auto round = [](std::uint64_t h, double v) {
-    return std::rotl(h ^ (std::bit_cast<std::uint64_t>(v) * kP2), 31) * kP1;
+    return std::rotl(h ^ std::bit_cast<std::uint64_t>(v), 29) * kP;
   };
   const std::size_t n = values.size();
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    lane[0] = round(lane[0], values[i]);
-    lane[1] = round(lane[1], values[i + 1]);
-    lane[2] = round(lane[2], values[i + 2]);
-    lane[3] = round(lane[3], values[i + 3]);
-  }
-  for (; i < n; ++i) lane[i % 4] = round(lane[i % 4], values[i]);
+  for (; i + kLanes <= n; i += kLanes)
+    for (std::size_t j = 0; j < kLanes; ++j)
+      lane[j] = round(lane[j], values[i + j]);
+  for (; i < n; ++i) lane[i % kLanes] = round(lane[i % kLanes], values[i]);
   std::uint64_t h = n;
   for (const std::uint64_t l : lane) h = mix64(h ^ l);
   return h;
@@ -557,13 +637,13 @@ SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
   SweepCtx ctx;
   ctx.groups = plan.groups.data();
   ctx.n_groups = plan.groups.size();
-  ctx.transfer = s.transfer.data();
-  ctx.transfer_pad = s.transfer_pad;
-  ctx.patch = s.patch.data();
-  ctx.n_kernel = plan.layer.kernel_size();
+  ctx.plane = s.transfer.data();
+  ctx.offsets = s.offsets.data();
+  ctx.side = plan.layer.output_side();
+  ctx.stride = plan.layer.s;
+  ctx.plane_w = plan.layer.n + 2 * plan.layer.p;
   ctx.K = plan.layer.K;
-  const std::size_t side = plan.layer.output_side();
-  ctx.pixels = side * side;
+  ctx.pixels = ctx.side * ctx.side;
   ctx.bcast = chain.bcast;
   ctx.laser_mean = chain.p0;
   ctx.laser_sigma = rin_sigma(cfg, chain.p0, bw);
@@ -584,51 +664,41 @@ SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
 }
 
 /// Per-layer patch-streaming precompute: normalize, DAC-quantize, and push
-/// every input element through the MZM transfer exactly once.
-void precompute_transfer(const nn::Tensor& input, double x_scale,
+/// every input element through the MZM transfer exactly once, into the
+/// padded plane (border = the transfer of a zero-padded element), and build
+/// the receptive field's gather offsets into it.
+void precompute_transfer(const nn::Tensor& input,
+                         const nn::ConvLayerParams& layer, double x_scale,
                          bool quantize, const elec::Dac& dac,
                          const phot::MachZehnderModulator& mzm,
                          EngineScratch& s) {
-  const std::span<const double> in = input.data();
-  s.transfer.resize(in.size());
-  for (std::size_t e = 0; e < in.size(); ++e) {
-    double x = in[e] / x_scale;
-    if (quantize) x = dac.convert(x);
-    s.transfer[e] = mzm.transmit_fraction(x);
-  }
   double xp = 0.0 / x_scale;
   if (quantize) xp = dac.convert(xp);
-  s.transfer_pad = mzm.transmit_fraction(xp);
-}
+  const double transfer_pad = mzm.transmit_fraction(xp);
 
-/// Build the im2col gather map. Receptive-field order (channel-major, then
-/// ky, then kx) mirrors nn::receptive_field.
-void build_patch_map(const nn::ConvLayerParams& layer, const nn::Shape4& in,
-                     EngineScratch& s) {
-  const std::size_t side = layer.output_side();
-  const std::size_t n_kernel = layer.kernel_size();
-  const long long H = static_cast<long long>(in.h);
-  const long long W = static_cast<long long>(in.w);
-  s.patch.resize(side * side * n_kernel);
-  std::int32_t* row = s.patch.data();
-  for (std::size_t oy = 0; oy < side; ++oy) {
-    for (std::size_t ox = 0; ox < side; ++ox) {
-      for (std::size_t c = 0; c < layer.nc; ++c) {
-        for (std::size_t ky = 0; ky < layer.m; ++ky) {
-          const long long iy = static_cast<long long>(oy * layer.s + ky) -
-                               static_cast<long long>(layer.p);
-          for (std::size_t kx = 0; kx < layer.m; ++kx) {
-            const long long ix = static_cast<long long>(ox * layer.s + kx) -
-                                 static_cast<long long>(layer.p);
-            *row++ = (iy >= 0 && iy < H && ix >= 0 && ix < W)
-                         ? static_cast<std::int32_t>(
-                               (static_cast<long long>(c) * H + iy) * W + ix)
-                         : -1;
-          }
-        }
+  const nn::Shape4& in = input.shape();
+  const std::size_t pad = layer.p;
+  const std::size_t pw = in.w + 2 * pad;
+  const std::size_t ph = in.h + 2 * pad;
+  s.transfer.assign(in.c * ph * pw, transfer_pad);
+  const double* src = input.data().data();
+  for (std::size_t c = 0; c < in.c; ++c) {
+    for (std::size_t y = 0; y < in.h; ++y) {
+      double* row = s.transfer.data() + (c * ph + y + pad) * pw + pad;
+      for (std::size_t x = 0; x < in.w; ++x) {
+        double v = *src++ / x_scale;
+        if (quantize) v = dac.convert(v);
+        row[x] = mzm.transmit_fraction(v);
       }
     }
   }
+
+  s.offsets.resize(layer.kernel_size());
+  std::size_t* off = s.offsets.data();
+  for (std::size_t c = 0; c < layer.nc; ++c)
+    for (std::size_t ky = 0; ky < layer.m; ++ky)
+      for (std::size_t kx = 0; kx < layer.m; ++kx)
+        *off++ = (c * ph + ky) * pw + kx;
 }
 
 } // namespace
@@ -850,9 +920,8 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, n_kernel, mean_x_sq, mean_w_sq);
 
-  precompute_transfer(input, x_scale, config_.enable_quantization, input_dac,
-                      mzm, scratch_);
-  build_patch_map(layer, input.shape(), scratch_);
+  precompute_transfer(input, layer, x_scale, config_.enable_quantization,
+                      input_dac, mzm, scratch_);
 
   const std::size_t branch_draws = pd_draws_per_branch(config_.bank.photodiode);
   const std::size_t draws_per_pixel = n_kernel + 2 * branch_draws * K * G;
@@ -949,9 +1018,8 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   const double adc_fs =
       adc_full_scale(config_.adc_headroom, per_channel, mean_x_sq, mean_w_sq);
 
-  precompute_transfer(input, x_scale, config_.enable_quantization, input_dac,
-                      mzm, scratch_);
-  build_patch_map(layer, input.shape(), scratch_);
+  precompute_transfer(input, layer, x_scale, config_.enable_quantization,
+                      input_dac, mzm, scratch_);
 
   const std::size_t branch_draws = pd_draws_per_branch(config_.bank.photodiode);
   const std::size_t draws_per_pixel = per_channel + 2 * branch_draws * K * G;
@@ -978,7 +1046,7 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
     }
 
     point_at_block(ctx, prog, b);
-    ctx.patch_offset = c * per_channel;
+    ctx.offsets = scratch_.offsets.data() + c * per_channel;
     sweep_pixels(ctx, workers, noise_key(rng_, bw), scratch_, pool_.get());
     // Every group's pass is digitized per kernel.
     stats.optical_passes += pixels * G;
@@ -1084,6 +1152,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
   std::vector<double> powers;
+  std::vector<double> dacc(out_n), tacc(out_n);
   for (std::size_t s = 0; s < slices; ++s) {
     const std::size_t begin = s * group_size;
     const std::size_t end = std::min(begin + group_size, in);
@@ -1105,8 +1174,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     const double* drop = prog.drop_t.data() + b * prog.pass_size();
     const double* thru = prog.thru_t.data() + b * prog.pass_size();
     const double* base = prog.baseline.data() + b * out_n;
-    for (std::size_t o = 0; o < out_n; ++o) {
-      if (!src.stored) {
+    if (!src.stored) {
+      for (std::size_t o = 0; o < out_n; ++o) {
         phot::WeightBank bank(grid, config_.bank, rng_);
         inject_stuck_faults(config_, bank, rng_, fresh.setup);
         program_bank_soa(bank, weights.data().data() + o * in + begin,
@@ -1117,14 +1186,16 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
         fresh.setup.total_heater_power += bank.total_heater_power();
         fresh.setup.total_ring_area += bank.total_area();
       }
+    }
 
-      double p_drop = 0.0, p_thru = 0.0;
-      for (std::size_t i = 0; i < width; ++i) {
-        p_drop += powers[i] * drop[i * out_n + o];
-        p_thru += powers[i] * thru[i * out_n + o];
-      }
+    // Bank programming draws only from the engine RNG and detection only
+    // from `z`, so programming the slice's banks before detecting any of
+    // them keeps both draw sequences.
+    mac_group(out_n, width, powers.data(), drop, thru, dacc.data(),
+              tacc.data());
+    for (std::size_t o = 0; o < out_n; ++o) {
       const double current =
-          detect_balanced<true>(pd, p_drop, p_thru, bw, z);
+          detect_balanced<true>(pd, dacc[o], tacc[o], bw, z);
       acc[o] += (current - base[o]) / chain.denom_current;
     }
     ++st.optical_passes;

@@ -19,16 +19,19 @@
 // path" has the full argument):
 //
 //  * patch streaming — the DAC quantization and MZM transfer of every input
-//    element are evaluated once per layer into a lookup table, and the
-//    per-pixel receptive field becomes a precomputed im2col-style index
-//    gather; nothing per-pixel re-derives per-element values;
+//    element are evaluated once per layer into a padded transfer plane
+//    (zero-padding transfer in the border), and a pixel's receptive field
+//    is a gather plane[base(oy, ox) + offsets[r]] through one per-layer
+//    table of kernel_size() offsets; nothing per-pixel re-derives
+//    per-element values and nothing per pixel is precomputed per call;
 //  * layer-lifetime scratch — every buffer the per-pixel loop touches lives
 //    in an EngineScratch owned by the engine and reused across pixels,
 //    layers, and conv2d calls; the oy/ox loops allocate nothing;
-//  * structure-of-arrays bank programs — calibrated bank responses are
-//    flattened into transposed drop/through arrays so the per-pixel MAC is
-//    a branch-free linear pass over contiguous memory with K independent
-//    accumulation chains;
+//  * K-panel bank programs and one register-blocked MAC kernel —
+//    calibrated drop/through responses are laid out per group in panels of
+//    eight kernels, channel-major within a panel, and the MAC keeps a
+//    panel's 8 drop and 8 through accumulators in SSE2 registers across the
+//    group's channels (narrower kernels take the K % 8 tail panel);
 //  * a programmed-layer store — when bank set-up draws nothing from the
 //    RNG, a layer's program is kept per engine and read in place by later
 //    calls with the same weights, bit-identical to reprogramming it (see
@@ -130,16 +133,17 @@ double measured_usable_range(phot::WeightBank& bank);
 /// nothing inside the per-pixel loops allocates.
 struct EngineScratch {
   // --- per-layer precomputes (patch-streaming pipeline) ---
-  /// MZM transmit fraction of every input element after normalization and
-  /// (optional) input-DAC quantization; evaluated once per layer.
+  /// Padded transfer plane: the MZM transmit fraction of every input element
+  /// after normalization and (optional) input-DAC quantization, evaluated
+  /// once per layer, laid out C x (H + 2p) x (W + 2p) with the transmit
+  /// fraction of a zero-padded element in the p-wide border.
   std::vector<double> transfer;
-  /// Transmit fraction of a zero-padded element.
-  double transfer_pad = 0.0;
-  /// im2col-style gather map: for output pixel p and flattened
-  /// receptive-field position r, patch[p * n_kernel + r] is the flat input
-  /// element index, or -1 for zero padding. Receptive-field order matches
-  /// nn::receptive_field (channel-major, then ky, then kx).
-  std::vector<std::int32_t> patch;
+  /// Receptive-field gather offsets into the padded plane: the r-th element
+  /// of the field at output (oy, ox) is transfer[base(oy, ox) + offsets[r]]
+  /// with base(oy, ox) = (oy * s) * (W + 2p) + ox * s. kernel_size()
+  /// entries; receptive-field order matches nn::receptive_field
+  /// (channel-major, then ky, then kx).
+  std::vector<std::size_t> offsets;
   // The calibrated bank programs the sweep reads are not scratch: they live
   // in the engine's programmed-layer store (or, for a layer the store does
   // not keep, in a program local to the call), read in place.

@@ -1,9 +1,6 @@
 #include "electronics/adc.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "common/mathutil.hpp"
 
 namespace pcnna::elec {
 
@@ -12,15 +9,6 @@ Adc::Adc(AdcConfig config) : config_(config) {
   PCNNA_CHECK(config.sample_rate > 0.0);
   PCNNA_CHECK(config.area >= 0.0 && config.power >= 0.0);
   PCNNA_CHECK(config.full_scale > 0.0);
-}
-
-double Adc::convert(double analog) const {
-  const double fs = config_.full_scale;
-  const double x = clamp(analog, -fs, fs);
-  const double steps = static_cast<double>(levels() - 1);
-  // Map [-fs, fs] -> [0, steps], quantize, map back.
-  const double code = std::round((x + fs) / (2.0 * fs) * steps);
-  return code / steps * 2.0 * fs - fs;
 }
 
 } // namespace pcnna::elec

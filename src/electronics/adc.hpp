@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "common/mathutil.hpp"
 #include "common/units.hpp"
 
 namespace pcnna::elec {
@@ -30,7 +31,15 @@ class Adc {
   std::uint64_t levels() const { return std::uint64_t{1} << config_.bits; }
 
   /// Quantize a signed analog value to the ADC grid; clips outside range.
-  double convert(double analog) const;
+  /// Inline: the engine digitizes every output sample through it.
+  double convert(double analog) const {
+    const double fs = config_.full_scale;
+    const double x = clamp(analog, -fs, fs);
+    const double steps = static_cast<double>(levels() - 1);
+    // Map [-fs, fs] -> [0, steps], quantize, map back.
+    const double code = round_half_away((x + fs) / (2.0 * fs) * steps);
+    return code / steps * 2.0 * fs - fs;
+  }
 
   /// Quantization step in input units.
   double lsb() const {

@@ -1,9 +1,6 @@
 #include "electronics/dac.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "common/mathutil.hpp"
 
 namespace pcnna::elec {
 
@@ -12,12 +9,6 @@ Dac::Dac(DacConfig config) : config_(config) {
   PCNNA_CHECK(config.sample_rate > 0.0);
   PCNNA_CHECK(config.area >= 0.0 && config.power >= 0.0);
   PCNNA_CHECK(config.full_scale > 0.0);
-}
-
-double Dac::convert(double normalized) const {
-  const double x = clamp(normalized, 0.0, 1.0);
-  const double steps = static_cast<double>(levels() - 1);
-  return std::round(x * steps) / steps * config_.full_scale;
 }
 
 } // namespace pcnna::elec

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/mathutil.hpp"
 #include "common/units.hpp"
 
 namespace pcnna::elec {
@@ -34,8 +35,13 @@ class Dac {
   std::uint64_t levels() const { return std::uint64_t{1} << config_.bits; }
 
   /// Quantize a normalized value in [0, 1] to the DAC grid and scale to the
-  /// full-scale output. Values outside [0, 1] are clipped.
-  double convert(double normalized) const;
+  /// full-scale output. Values outside [0, 1] are clipped. Inline: the
+  /// engine converts every input element and weight through it.
+  double convert(double normalized) const {
+    const double x = clamp(normalized, 0.0, 1.0);
+    const double steps = static_cast<double>(levels() - 1);
+    return round_half_away(x * steps) / steps * config_.full_scale;
+  }
 
   /// Quantization step in output units.
   double lsb() const {

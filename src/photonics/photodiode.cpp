@@ -1,7 +1,5 @@
 #include "photonics/photodiode.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace pcnna::phot {
@@ -11,19 +9,6 @@ Photodiode::Photodiode(PhotodiodeConfig config) : config_(config) {
   PCNNA_CHECK(config.dark_current >= 0.0);
   PCNNA_CHECK(config.temperature > 0.0);
   PCNNA_CHECK(config.load_resistance > 0.0);
-}
-
-double Photodiode::noise_sigma(double current, double bandwidth) const {
-  if (bandwidth <= 0.0) return 0.0;
-  double variance = 0.0;
-  if (config_.enable_shot_noise) {
-    variance += 2.0 * units::q_e * std::abs(current) * bandwidth;
-  }
-  if (config_.enable_thermal_noise) {
-    variance += 4.0 * units::k_B * config_.temperature * bandwidth /
-                config_.load_resistance;
-  }
-  return std::sqrt(variance);
 }
 
 double Photodiode::detect(double power, double bandwidth, Rng& rng) const {

@@ -6,6 +6,8 @@
 // turns a 0..1 drop fraction into a signed -1..+1 weight.
 #pragma once
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -40,7 +42,19 @@ class Photodiode {
   }
 
   /// RMS noise current for a mean current `current` over `bandwidth` [A].
-  double noise_sigma(double current, double bandwidth) const;
+  /// Inline: the engine evaluates it for both branches of every detection.
+  double noise_sigma(double current, double bandwidth) const {
+    if (bandwidth <= 0.0) return 0.0;
+    double variance = 0.0;
+    if (config_.enable_shot_noise) {
+      variance += 2.0 * units::q_e * std::abs(current) * bandwidth;
+    }
+    if (config_.enable_thermal_noise) {
+      variance += 4.0 * units::k_B * config_.temperature * bandwidth /
+                  config_.load_resistance;
+    }
+    return std::sqrt(variance);
+  }
 
   /// One noisy detection sample: current for `power` integrated over
   /// `bandwidth`. bandwidth == 0 -> deterministic.
@@ -56,11 +70,14 @@ class BalancedPhotodiode {
   explicit BalancedPhotodiode(PhotodiodeConfig config)
       : plus_(config), minus_(config) {}
 
-  /// Signed differential current [A]; both branches draw independent noise.
+  /// Signed differential current [A]; both branches draw independent noise,
+  /// the plus branch first (sequenced through the two locals: the operands
+  /// of one `-` may be evaluated in either order).
   double detect(double p_plus, double p_minus, double bandwidth,
                 Rng& rng) const {
-    return plus_.detect(p_plus, bandwidth, rng) -
-           minus_.detect(p_minus, bandwidth, rng);
+    const double plus = plus_.detect(p_plus, bandwidth, rng);
+    const double minus = minus_.detect(p_minus, bandwidth, rng);
+    return plus - minus;
   }
 
   /// Noiseless differential current [A]; dark currents cancel.

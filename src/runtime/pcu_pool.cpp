@@ -273,9 +273,9 @@ std::vector<RequestResult> PcuPool::serve(
   std::mutex error_mu;
   std::exception_ptr first_error;
 
-  // One worker per PCU over its own execution list. A stage past the head
-  // blocks on the previous stage's future; the virtual-time schedule is
-  // acyclic (every dependency points to an earlier span), so in-order
+  // One worker per busy PCU over its own execution list. A stage past the
+  // head blocks on the previous stage's future; the virtual-time schedule
+  // is acyclic (every dependency points to an earlier span), so in-order
   // processing cannot deadlock. On error the worker poisons every hand-off
   // it still owes so downstream stages fail instead of waiting forever.
   auto worker = [&](std::size_t p) {
@@ -331,10 +331,11 @@ std::vector<RequestResult> PcuPool::serve(
     }
   };
 
+  // A thread only for a PCU with work: a small batch on a large fleet
+  // starts as many threads as PCUs it touches, not one per PCU.
   std::vector<std::thread> threads;
-  threads.reserve(pcus_.size());
   for (std::size_t p = 0; p < pcus_.size(); ++p)
-    threads.emplace_back(worker, p);
+    if (!assigned[p].empty()) threads.emplace_back(worker, p);
   for (std::thread& t : threads) t.join();
 
   if (first_error) std::rethrow_exception(first_error);

@@ -1,9 +1,15 @@
 // Data converters: quantization, rate, energy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/mathutil.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "electronics/adc.hpp"
 #include "electronics/dac.hpp"
@@ -109,6 +115,115 @@ TEST(Adc, PaperRateTiming) {
 TEST(Adc, PaperPowerSpec) {
   elec::Adc adc{elec::AdcConfig{}};
   EXPECT_NEAR(44.6 * u::mW, adc.config().power, 1e-6);
+}
+
+// --- the inline converters against the std::round formulas ---------------
+// Adc::convert and Dac::convert round half away from zero without libm
+// (round_half_away). They must return the bits of the std::round formulas
+// they replaced, -0.0 and NaN included.
+
+double adc_formula(const elec::Adc& adc, double analog) {
+  const double fs = adc.config().full_scale;
+  const double x = clamp(analog, -fs, fs);
+  const double steps = static_cast<double>(adc.levels() - 1);
+  const double code = std::round((x + fs) / (2.0 * fs) * steps);
+  return code / steps * 2.0 * fs - fs;
+}
+
+double dac_formula(const elec::Dac& dac, double normalized) {
+  const double x = clamp(normalized, 0.0, 1.0);
+  const double steps = static_cast<double>(dac.levels() - 1);
+  return std::round(x * steps) / steps * dac.config().full_scale;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+constexpr int kBitWidths[] = {1, 2, 5, 8, 12, 16, 24};
+
+/// Inputs at and next to every half-code tie of a converter with `bits`
+/// (all of them up to 16 bits, an even sample above), plus the clamp edges.
+std::vector<double> tie_and_edge_inputs(int bits, double lo, double hi) {
+  const std::uint64_t steps = (std::uint64_t{1} << bits) - 1;
+  const std::uint64_t stride = bits <= 16 ? 1 : 97;
+  std::vector<double> xs;
+  for (std::uint64_t j = 0; j < steps; j += stride) {
+    const double t = lo + (hi - lo) * ((static_cast<double>(j) + 0.5) /
+                                       static_cast<double>(steps));
+    xs.push_back(t);
+    xs.push_back(std::nextafter(t, -HUGE_VAL));
+    xs.push_back(std::nextafter(t, HUGE_VAL));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double e :
+       {lo, hi, 0.0, -0.0, std::nextafter(lo, -inf), std::nextafter(lo, inf),
+        std::nextafter(hi, -inf), std::nextafter(hi, inf), 2.0 * lo - 1.0,
+        2.0 * hi + 1.0, 1e300, -1e300, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN()})
+    xs.push_back(e);
+  return xs;
+}
+
+TEST(RoundHalfAway, MatchesStdRound) {
+  // Every exact tie j + 0.5 up to 2^16, a sample up to 2^24, the float
+  // boundary 2^52 and the fallback values.
+  for (std::uint64_t j = 0; j < (std::uint64_t{1} << 24);
+       j += j < (1u << 16) ? 1 : 251) {
+    const double tie = static_cast<double>(j) + 0.5;
+    for (const double y : {tie, std::nextafter(tie, 0.0),
+                           std::nextafter(tie, HUGE_VAL),
+                           static_cast<double>(j)}) {
+      ASSERT_TRUE(same_bits(std::round(y), round_half_away(y))) << y;
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double y :
+       {0.0, -0.0, 0.49999999999999994, 0x1p52 - 0.5, 0x1p52, 0x1p52 + 1.0,
+        0x1p53, 1e300, -0.5, -1.5, -2.5, -1e300, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_TRUE(same_bits(std::round(y), round_half_away(y))) << y;
+}
+
+TEST(Adc, ConvertMatchesTheStdRoundFormula) {
+  Rng rng(2024);
+  for (const int bits : kBitWidths) {
+    for (const double fs : {1.0, 0.37}) {
+      elec::AdcConfig cfg;
+      cfg.bits = bits;
+      cfg.full_scale = fs;
+      const elec::Adc adc(cfg);
+      for (const double x : tie_and_edge_inputs(bits, -fs, fs))
+        ASSERT_TRUE(same_bits(adc_formula(adc, x), adc.convert(x)))
+            << "bits=" << bits << " fs=" << fs << " x=" << x;
+      for (int n = 0; n < 100'000; ++n) {
+        const double x = rng.uniform(-1.25 * fs, 1.25 * fs);
+        ASSERT_TRUE(same_bits(adc_formula(adc, x), adc.convert(x)))
+            << "bits=" << bits << " fs=" << fs << " x=" << x;
+      }
+    }
+  }
+}
+
+TEST(Dac, ConvertMatchesTheStdRoundFormula) {
+  Rng rng(2025);
+  for (const int bits : kBitWidths) {
+    for (const double fs : {1.0, 2.5}) {
+      elec::DacConfig cfg;
+      cfg.bits = bits;
+      cfg.full_scale = fs;
+      const elec::Dac dac(cfg);
+      for (const double x : tie_and_edge_inputs(bits, 0.0, 1.0))
+        ASSERT_TRUE(same_bits(dac_formula(dac, x), dac.convert(x)))
+            << "bits=" << bits << " fs=" << fs << " x=" << x;
+      for (int n = 0; n < 100'000; ++n) {
+        const double x = rng.uniform(-0.25, 1.25);
+        ASSERT_TRUE(same_bits(dac_formula(dac, x), dac.convert(x)))
+            << "bits=" << bits << " fs=" << fs << " x=" << x;
+      }
+    }
+  }
 }
 
 TEST(Converters, RejectBadConfigs) {

@@ -204,6 +204,39 @@ TEST(EngineAbIdentity, ShotOnlyZeroDarkThreadsBitIdentical) {
   expect_noisy_contract(cfg, kLayerA);
 }
 
+// The MAC kernel runs K in panels of eight kernels plus one narrower tail
+// panel. Every panel width and tail (K = 1, 2, 3, 7, 8, 9, 16, 17, 120)
+// over receptive fields split into several WDM groups, on the ideal and the
+// quantization-only config, must match the frozen reference bitwise.
+TEST(EngineAbIdentity, KernelPanelWidthsAcrossGroups) {
+  PcnnaConfig quant = PcnnaConfig::paper_defaults();
+  quant.enable_noise = false;
+  for (PcnnaConfig cfg : {PcnnaConfig::ideal(), quant}) {
+    // nc * m * m = 45 over at most 20 wavelengths: three groups.
+    cfg.max_wavelengths = 20;
+    for (const std::uint64_t K : {1u, 2u, 3u, 7u, 8u, 9u, 16u, 17u, 120u}) {
+      SCOPED_TRACE(testing::Message() << "quantization="
+                                      << cfg.enable_quantization
+                                      << " K=" << K);
+      expect_ab_identity(cfg, {"panels", 5, 3, 1, 1, 5, K});
+    }
+  }
+}
+
+// Per-channel passes read the padded plane from channel c's offsets; with
+// padding 2 and stride 2 the border and the strided bases are exercised.
+TEST(EngineAbIdentity, PerChannelPaddedStrided) {
+  PcnnaConfig quant = PcnnaConfig::paper_defaults();
+  quant.enable_noise = false;
+  for (PcnnaConfig cfg : {PcnnaConfig::ideal(), quant}) {
+    cfg.allocation = RingAllocation::kPerChannel;
+    cfg.max_wavelengths = 16; // 25-element channel fields split in two
+    SCOPED_TRACE(testing::Message()
+                 << "quantization=" << cfg.enable_quantization);
+    expect_ab_identity(cfg, {"pc_strided", 11, 5, 2, 2, 3, 9});
+  }
+}
+
 // --- scratch-buffer reuse -------------------------------------------------
 // One engine instance serving different layers (and the same layer twice)
 // must produce outputs bit-identical to a fresh engine per call. The RNG is

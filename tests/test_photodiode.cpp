@@ -98,6 +98,33 @@ TEST(Balanced, NoiseAccumulatesFromBothBranches) {
   EXPECT_NEAR(std::sqrt(2.0) * one_branch, stddev(samples), 0.05 * one_branch);
 }
 
+// The plus branch draws its normal first. The powers differ, so the two
+// branches' shot-noise sigmas differ and the minus-first order gives other
+// bits; repeated detections also cross the Box–Muller spare cache.
+TEST(Balanced, PlusBranchDrawsFirst) {
+  const phot::PhotodiodeConfig cfg; // shot and thermal noise on
+  ASSERT_TRUE(cfg.enable_shot_noise);
+  phot::BalancedPhotodiode pd(cfg);
+  const double bw = 5.0 * u::GHz;
+  const double p_plus = 2e-3, p_minus = 0.25e-3;
+  Rng rng(17);
+  for (int rep = 0; rep < 3; ++rep) {
+    Rng plus_first = rng;
+    Rng minus_first = rng;
+    const double plus = pd.plus_branch().detect(p_plus, bw, plus_first);
+    const double minus = pd.minus_branch().detect(p_minus, bw, plus_first);
+    const double m_first = pd.minus_branch().detect(p_minus, bw, minus_first);
+    const double p_second = pd.plus_branch().detect(p_plus, bw, minus_first);
+
+    const double got = pd.detect(p_plus, p_minus, bw, rng);
+    EXPECT_EQ(plus - minus, got) << "rep " << rep;
+    EXPECT_NE(p_second - m_first, got) << "rep " << rep;
+    // Both orders draw two normals; the streams stay in step.
+    Rng after = rng;
+    EXPECT_EQ(plus_first.next_u64(), after.next_u64()) << "rep " << rep;
+  }
+}
+
 TEST(Photodiode, NegativePowerThrows) {
   phot::Photodiode pd{phot::PhotodiodeConfig{}};
   Rng rng(1);

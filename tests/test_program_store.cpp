@@ -200,6 +200,31 @@ TEST(ProgramStore, MutatedWeightMissesTheStore) {
 
 // All-zero weights return the bias on a warm engine too: they draw nothing,
 // store nothing and never read a stored layer's weight statistics.
+// The weight digest runs eight lanes; a change at any lane position, or in
+// the tail past the last full group of eight, must miss the store.
+TEST(ProgramStore, ChangeAtEveryDigestLaneMisses) {
+  const PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  // 3 kernels x 2 channels x 3 x 3 = 54 weights: six full groups of eight
+  // and a six-weight tail.
+  Call call = conv_call({"lanes", 6, 3, 1, 1, 2, 3}, 13);
+  ASSERT_EQ(54u, call.weights.size());
+  OpticalConvEngine engine(cfg);
+  call.run(engine, 21, nullptr);
+  const std::size_t stored = engine.programmed_bytes();
+  ASSERT_GT(stored, 0u);
+
+  std::size_t expected = stored;
+  for (const std::size_t i : {16u, 17u, 18u, 19u, 20u, 21u, 22u, 23u, 50u}) {
+    SCOPED_TRACE(i);
+    call.weights[i] = -call.weights[i] + 0.125 * call.weights.abs_max();
+    OpticalConvEngine fresh(cfg);
+    expect_same_bits(call.run(fresh, 21, nullptr),
+                     call.run(engine, 21, nullptr));
+    expected += stored;
+    EXPECT_EQ(expected, engine.programmed_bytes()) << "the call hit the store";
+  }
+}
+
 TEST(ProgramStore, ZeroWeightsReturnTheBiasAndStoreNothing) {
   const PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   for (Call call : {conv_call({"full", 10, 3, 1, 1, 16, 8}, 18),

@@ -65,6 +65,26 @@ TEST(BatchRunner, BatchedOutputsBitIdenticalToSequential) {
   }
 }
 
+// A batch smaller than the fleet leaves most PCUs idle; serve starts a
+// thread only for the PCUs with work, and the outputs stay those of serving
+// each request alone.
+TEST(BatchRunner, SmallBatchOnALargeFleetBitIdenticalToSequential) {
+  const Served s = make_served(3);
+  const PcnnaConfig config = PcnnaConfig::paper_defaults();
+
+  BatchRunner fleet(config, s.net, s.weights, options(/*pcus=*/16));
+  const std::vector<RequestResult> batched = fleet.run(s.inputs);
+
+  BatchRunner single(config, s.net, s.weights, options(/*pcus=*/1));
+  ASSERT_EQ(s.inputs.size(), batched.size());
+  for (std::size_t id = 0; id < s.inputs.size(); ++id) {
+    EXPECT_LT(batched[id].pcu_index, 16u);
+    const RequestResult alone = single.run_one(s.inputs[id], id);
+    EXPECT_EQ(alone.output, batched[id].output)
+        << "request " << id << " differs between batched and sequential";
+  }
+}
+
 // Order independence on one physical PCU: serving a request after a pile of
 // other work gives the same bits as serving it first.
 TEST(BatchRunner, ServeHistoryDoesNotLeakIntoResults) {
