@@ -68,7 +68,8 @@ class NormalStream {
   }
 
   /// Next standard normal. Bits 0-6 pick the layer and the top 53 bits give
-  /// a uniform u in [-1, 1); ~98.8 % of draws return from the first test.
+  /// a uniform u in [-1, 1). A draw returns from the first test with
+  /// probability sum(ratio) / 128 = 97.24 %; 2.76 % take next_slow.
   double next() {
     const std::uint64_t w = next_u64();
     const std::size_t i = w & (ZigguratTables::kLayers - 1);

@@ -1,6 +1,9 @@
 #include "common/report.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -81,10 +84,59 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+namespace {
+
+/// Order-preserving image of a double in the unsigned integers: flip every
+/// bit of a negative value, set the sign bit of a non-negative one. Key
+/// order is `<` order for every non-NaN value, except that -0.0 sorts
+/// before +0.0.
+std::uint64_t order_key(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  return bits >> 63 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+double from_order_key(std::uint64_t key) {
+  return std::bit_cast<double>(key >> 63 ? key & ~(std::uint64_t{1} << 63)
+                                         : ~key);
+}
+
+/// Ascending sort by LSD radix over the order keys, one byte per pass. One
+/// counting pass fills every byte's histogram; a pass whose byte every key
+/// shares would move nothing and is skipped.
+void radix_sort(std::vector<double>& samples) {
+  constexpr std::size_t kDigits = 8;
+  constexpr std::size_t kRadix = 256;
+  const std::size_t n = samples.size();
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::uint64_t> spare(n);
+  std::array<std::array<std::size_t, kRadix>, kDigits> counts{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = order_key(samples[i]);
+    keys[i] = k;
+    for (std::size_t d = 0; d < kDigits; ++d) ++counts[d][(k >> (8 * d)) & 0xff];
+  }
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    const unsigned shift = static_cast<unsigned>(8 * d);
+    std::array<std::size_t, kRadix>& slot = counts[d];
+    if (slot[(keys[0] >> shift) & 0xff] == n) continue;
+    std::size_t offset = 0;
+    for (std::size_t& c : slot) {
+      const std::size_t here = c;
+      c = offset;
+      offset += here;
+    }
+    for (const std::uint64_t k : keys) spare[slot[(k >> shift) & 0xff]++] = k;
+    keys.swap(spare);
+  }
+  for (std::size_t i = 0; i < n; ++i) samples[i] = from_order_key(keys[i]);
+}
+
+} // namespace
+
 DistributionSummary summarize_distribution(std::vector<double> samples) {
   DistributionSummary s;
   if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
+  radix_sort(samples);
   s.count = samples.size();
   double sum = 0.0;
   for (double v : samples) sum += v;

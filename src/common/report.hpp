@@ -63,7 +63,10 @@ struct DistributionSummary {
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
 /// Sort a copy of `samples` and fill every DistributionSummary field.
-/// An empty input yields the zero summary.
+/// An empty input yields the zero summary. The sort is a radix sort over
+/// the samples' bits: for samples without NaN and without both -0.0 and
+/// +0.0 it orders them exactly as std::sort does, so every field (the mean
+/// is summed in sorted order) carries the same bits.
 DistributionSummary summarize_distribution(std::vector<double> samples);
 
 /// Minimal CSV writer (RFC-4180 quoting). One instance per output file.

@@ -177,8 +177,8 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
   // run()/run_one(), and on any fleet they repeat run to run. The
   // schedule also decides which requests run at all (shed and fault-lost
   // ids stay placeholders).
-  const AdmissionResult admission =
-      pool_.simulate_admission(requests, admission_options());
+  const AdmissionOptions options = admission_options();
+  AdmissionResult admission = pool_.run_admission(requests, options);
 
   const std::size_t batch = inputs.size();
   const auto wall_start = std::chrono::steady_clock::now();
@@ -198,6 +198,8 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
     r.wall_seconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
     if (options_.telemetry) {
+      options_.telemetry->record_admission(std::move(admission), pool_,
+                                           options);
       options_.telemetry->record_results(results);
       options_.telemetry->record_report(r);
     }
@@ -209,8 +211,9 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                                                const SloSchedule& slos,
                                                const ModelSchedule& models) {
-  const AdmissionResult admission = pool_.simulate_admission(
-      make_requests(nullptr, arrivals, slos, models), admission_options());
+  const AdmissionOptions options = admission_options();
+  AdmissionResult admission = pool_.run_admission(
+      make_requests(nullptr, arrivals, slos, models), options);
   OpenLoopReport r = summarize_schedule(admission, arrivals);
   // Timing-only energy: the per-request analytical total of the PCU each
   // request was dispatched to, which the functional path reproduces
@@ -221,7 +224,12 @@ OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                              ? 0.0
                              : r.total_energy /
                                    static_cast<double>(r.requests);
-  if (options_.telemetry) options_.telemetry->record_report(r);
+  if (options_.telemetry) {
+    // Summarized, so the result can be handed over rather than copied.
+    options_.telemetry->record_admission(std::move(admission), pool_,
+                                         options);
+    options_.telemetry->record_report(r);
+  }
   return r;
 }
 
@@ -315,6 +323,10 @@ OpenLoopReport BatchRunner::summarize_schedule(
   latencies.reserve(schedule.size());
   waits.reserve(schedule.size());
   double wait_sum = 0.0;
+  // Per-tenant SLO slices only for runs that actually carried SLO metadata
+  // — legacy reports keep their trivial defaults. Found in this pass, so
+  // a legacy run walks its schedule once here rather than twice.
+  bool slo_aware = admission.shed.shed > 0;
   for (const ScheduledService& s : schedule) {
     latencies.push_back(s.completion - s.arrival);
     waits.push_back(s.start - s.arrival);
@@ -323,6 +335,9 @@ OpenLoopReport BatchRunner::summarize_schedule(
     // so its sojourn includes every destroyed attempt and backoff delay —
     // the latency tail fault tolerance adds.
     if (s.attempts > 1) retry_latencies.push_back(s.completion - s.arrival);
+    slo_aware = slo_aware || s.tenant != 0 ||
+                s.priority != PriorityClass::kStandard ||
+                std::isfinite(s.deadline);
   }
   // Shed requests sat in the queue from arrival to the shed decision;
   // that residency is real queue occupancy even though they were never
@@ -352,16 +367,6 @@ OpenLoopReport BatchRunner::summarize_schedule(
     r.mean_queue_depth = wait_sum / r.makespan;
   }
 
-  // Per-tenant SLO slices, only for runs that actually carried SLO
-  // metadata — legacy reports keep their trivial defaults.
-  bool slo_aware = admission.shed.shed > 0;
-  for (const ScheduledService& s : schedule) {
-    if (s.tenant != 0 || s.priority != PriorityClass::kStandard ||
-        std::isfinite(s.deadline)) {
-      slo_aware = true;
-      break;
-    }
-  }
   if (slo_aware) {
     std::map<std::uint32_t, TenantBreakdown> tenants;
     std::map<std::uint32_t, std::vector<double>> tenant_latencies;

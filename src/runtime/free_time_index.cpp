@@ -7,16 +7,16 @@
 namespace pcnna::runtime {
 
 FreeTimeIndex::FreeTimeIndex(std::size_t pcus)
-    : slots_(pcus), idle_(pcus, 0) {}
+    : slots_(pcus), idle_(pcus, 0), busy_at_(pcus), idle_at_(pcus) {}
 
 void FreeTimeIndex::unfile(std::size_t p) {
   const Slot& s = slots_[p];
   if (!s.listed) return;
   Tier& tier = tiers_[s.tier];
   if (idle_[p]) {
-    tier.idle[s.warm_after_idle].erase(p);
+    tier.idle[s.warm_after_idle].erase(idle_at_[p]);
   } else {
-    tier.busy[s.warm].erase({s.free_at, p});
+    tier.busy[s.warm].erase(busy_at_[p]);
   }
 }
 
@@ -27,9 +27,10 @@ void FreeTimeIndex::file(std::size_t p) {
   Tier& tier = tiers_[s.tier];
   idle_[p] = s.free_at < horizon_;
   if (idle_[p]) {
-    tier.idle[s.warm_after_idle].insert(p);
+    idle_at_[p] = tier.idle[s.warm_after_idle].insert(p).first;
   } else {
-    tier.busy[s.warm].insert({s.free_at, p});
+    Busy& busy = tier.busy[s.warm];
+    busy_at_[p] = busy.emplace_hint(busy.end(), s.free_at, p);
   }
 }
 
@@ -48,7 +49,7 @@ void FreeTimeIndex::advance(double t) {
         const std::size_t p = busy.begin()->second;
         busy.erase(busy.begin());
         idle_[p] = 1;
-        tier.idle[slots_[p].warm_after_idle].insert(p);
+        idle_at_[p] = tier.idle[slots_[p].warm_after_idle].insert(p).first;
       }
     }
   }

@@ -21,6 +21,13 @@
 // ascending indices returns. Each search costs O(tiers · log P) plus one
 // step per ineligible candidate it skips.
 //
+// The index remembers where each listed PCU sits (its set iterator), so
+// taking a PCU out of its set never searches. A commit files the PCU back
+// with an end-of-set hint: under arrival-ordered traffic its new free time
+// is usually the largest in its busy set, so the insert costs O(1)
+// amortized; a wrong hint costs one ordinary O(log P) insert and changes
+// no answer.
+//
 // The index never computes a score: the caller supplies it, and promises
 // that, at the query time, every PCU of one busy set scores non-decreasing
 // in free_at and every PCU of one idle set scores the same. A caller whose
@@ -32,6 +39,7 @@
 #include <cstddef>
 #include <limits>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -92,6 +100,10 @@ class FreeTimeIndex {
     Idle idle[2]; ///< indexed by Slot::warm_after_idle
   };
 
+  // Growing tiers_ moves each Tier, and moving a std::set keeps its
+  // iterators valid; only a copy would strand busy_at_ / idle_at_.
+  static_assert(std::is_nothrow_move_constructible_v<Tier>);
+
   void file(std::size_t p);
   void unfile(std::size_t p);
 
@@ -99,6 +111,10 @@ class FreeTimeIndex {
   std::vector<Slot> slots_;
   /// idle_[p]: PCU p sits in an idle set (else busy, when listed).
   std::vector<unsigned char> idle_;
+  /// Where listed PCU p sits: busy_at_[p] in its busy set, or idle_at_[p]
+  /// in its idle set, as idle_[p] says.
+  std::vector<Busy::iterator> busy_at_;
+  std::vector<Idle::iterator> idle_at_;
   /// Last advance() instant; idle PCUs freed before it.
   double horizon_ = -std::numeric_limits<double>::infinity();
 };

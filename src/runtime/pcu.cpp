@@ -1,6 +1,7 @@
 #include "runtime/pcu.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -128,11 +129,12 @@ std::uint32_t Pcu::add_model(ModelSlot slot) {
   return static_cast<std::uint32_t>(models_.size() - 1);
 }
 
-const ModelSlot& Pcu::model_slot(std::uint32_t model) const {
-  PCNNA_CHECK_MSG(model < models_.size(),
-                  "PCU " << index_ << " has " << models_.size()
-                         << " registered models, no model " << model);
-  return models_[model];
+void Pcu::throw_no_model(std::uint32_t model) const {
+  std::ostringstream msg;
+  msg << "PCU " << index_ << " has " << models_.size()
+      << " registered models, no model " << model;
+  detail::throw_check_failure("model < models_.size()", __FILE__, __LINE__,
+                              msg.str());
 }
 
 StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,

@@ -291,8 +291,12 @@ class Pcu {
   }
 
   /// All precomputed serving constants of `model` (throws for an
-  /// unregistered id).
-  const ModelSlot& model_slot(std::uint32_t model) const;
+  /// unregistered id). Inline: the admission loop reads several per-model
+  /// constants per request.
+  const ModelSlot& model_slot(std::uint32_t model) const {
+    if (model >= models_.size()) [[unlikely]] throw_no_model(model);
+    return models_[model];
+  }
 
   // The accessors below are precomputed per-model constants (set at
   // registration, immutable after), so they are safe to read from any
@@ -352,6 +356,8 @@ class Pcu {
   }
 
  private:
+  [[noreturn]] void throw_no_model(std::uint32_t model) const;
+
   std::size_t index_;
   core::PcnnaConfig config_;
   core::TimingFidelity fidelity_;

@@ -485,12 +485,23 @@ class PcuPool {
   ///
   /// Returns the schedule of *served* requests in dispatch order plus the
   /// shed, autoscaler, and fault outcomes; without shedding or fault
-  /// injection the schedule covers every request.
+  /// injection the schedule covers every request. With
+  /// AdmissionOptions::telemetry set, a copy of the result is recorded
+  /// there before it is returned.
   AdmissionResult simulate_admission(
       const std::vector<InferenceRequest>& requests,
       const AdmissionOptions& options);
 
  private:
+  /// BatchRunner summarizes a result first and then hands it to its
+  /// telemetry by move, so it admits through run_admission.
+  friend class BatchRunner;
+
+  /// simulate_admission without the final telemetry record (the in-loop
+  /// hooks still fire).
+  AdmissionResult run_admission(const std::vector<InferenceRequest>& requests,
+                                const AdmissionOptions& options);
+
   std::vector<Pcu> pcus_;
   /// Fleet-minimum split passes, one entry per registered model.
   std::vector<std::size_t> min_split_passes_;

@@ -250,20 +250,13 @@ Telemetry::Telemetry() {
       "Pending-queue depth sampled at dispatch opportunities", 1.0, 1e4, 16);
 }
 
-void Telemetry::on_queue_depth(double t, std::size_t depth) {
-  queue_depth_samples_.emplace_back(t, static_cast<std::uint64_t>(depth));
-  queue_depth_last_->set(static_cast<double>(depth));
-  queue_depth_->observe(static_cast<double>(depth));
-}
-
 void Telemetry::on_dispatch(bool swapped, bool pipelined) {
   dispatches_->add();
   if (swapped) dispatch_swaps_->add();
   if (pipelined) pipeline_dispatches_->add();
 }
 
-void Telemetry::record_admission(const AdmissionResult& result,
-                                 const PcuPool& pool,
+void Telemetry::record_admission(AdmissionResult result, const PcuPool& pool,
                                  const AdmissionOptions& options) {
   num_pcus_ = pool.size();
   pcu_tags_.clear();
@@ -271,99 +264,118 @@ void Telemetry::record_admission(const AdmissionResult& result,
     pcu_tags_.push_back(pool.pcu(p).tag());
   policy_name_ = dispatch_policy_name(options.policy);
 
-  // One span per served request (or per stage for pipelined requests),
-  // one instant per shed decision / destroyed attempt / permanent loss.
-  // The queue-wait and overhead trace events are derived from these at
-  // export time, so this — the only per-request recording on the run
-  // path — stays inside the bench's telemetry-overhead budget.
-  std::size_t worst = result.shed.decisions.size() +
-                      result.fault.attempts.size() +
-                      result.fault.losses.size();
-  for (const ScheduledService& s : result.schedule)
-    worst += s.stages.empty() ? 1 : s.stages.size();
-  spans_.reserve(spans_.size() + worst);
-
-  double makespan = 0.0;
-  for (const ScheduledService& s : result.schedule) {
-    served_->add();
-    latency_->observe(s.completion - s.arrival);
-    queue_wait_->observe(s.start - s.arrival);
-    makespan = std::max(makespan, s.completion);
-
-    RequestSpan base;
-    base.id = s.id;
-    base.tenant = s.tenant;
-    base.model = s.model;
-    base.priority = s.priority;
-    base.attempts = s.attempts;
-    base.arrival = s.arrival;
-
-    if (s.stages.empty()) {
-      RequestSpan svc = base;
-      svc.kind = SpanKind::kService;
-      svc.pcu = s.pcu;
-      svc.start = s.start;
-      svc.end = s.completion;
-      svc.warmup = s.warmup;
-      svc.swap = s.swap;
-      svc.swapped = s.swapped;
-      spans_.push_back(svc);
-    } else {
-      for (const StageService& st : s.stages) {
-        RequestSpan stage = base;
-        stage.kind = SpanKind::kStage;
-        stage.pcu = st.pcu;
-        stage.stage = static_cast<std::uint32_t>(st.stage);
-        stage.start = st.start;
-        stage.end = st.completion;
-        stage.warmup = st.pin;    // stage pin rides the warmup slot
-        stage.swap = st.handoff;  // hand-off rides the swap slot
-        spans_.push_back(stage);
-        makespan = std::max(makespan, st.completion);
-      }
-    }
-  }
-
+  // The run is stored, not walked: spans, the per-request instruments and
+  // the makespan gauge are derived from it later.
+  makespan_from_run_ = true;
+  mean_active_->set(result.autoscaler.mean_active);
   shed_->add(result.shed.shed);
-  for (const ShedDecision& d : result.shed.decisions) {
-    RequestSpan span;
-    span.kind = SpanKind::kShed;
-    span.id = d.id;
-    span.tenant = d.tenant;
-    span.priority = d.priority;
-    span.start = span.end = d.decision_time;
-    spans_.push_back(span);
-  }
-
   fault_injections_->add(result.fault.injections);
   retries_->add(result.fault.retries);
   quarantines_->add(result.fault.quarantines);
   repairs_->add(result.fault.repairs);
   lost_attempts_->add(result.fault.attempts.size());
-  for (const FaultedAttempt& a : result.fault.attempts) {
-    RequestSpan span;
-    span.kind = SpanKind::kLostAttempt;
-    span.id = a.id;
-    span.pcu = a.pcu;
-    span.attempts = a.attempt;
-    span.start = a.start;
-    span.end = a.end;
-    spans_.push_back(span);
-  }
   failed_->add(result.fault.losses.size());
-  for (const RequestLoss& l : result.fault.losses) {
-    RequestSpan span;
-    span.kind = SpanKind::kFailed;
-    span.id = l.id;
-    span.tenant = l.tenant;
-    span.priority = l.priority;
-    span.attempts = l.attempts;
-    span.start = span.end = l.time;
-    spans_.push_back(span);
+  runs_.push_back(std::move(result));
+}
+
+void Telemetry::derive() const {
+  if (makespan_from_run_) {
+    // The last recorded run wrote the makespan gauge after any report.
+    double makespan = 0.0;
+    for (const ScheduledService& s : runs_.back().schedule) {
+      makespan = std::max(makespan, s.completion);
+      for (const StageService& st : s.stages)
+        makespan = std::max(makespan, st.completion);
+    }
+    makespan_->set(makespan);
+    makespan_from_run_ = false;
+  }
+  for (; depth_derived_ < queue_depth_samples_.size(); ++depth_derived_) {
+    const double depth =
+        static_cast<double>(queue_depth_samples_[depth_derived_].second);
+    queue_depth_last_->set(depth);
+    queue_depth_->observe(depth);
   }
 
-  makespan_->set(makespan);
-  mean_active_->set(result.autoscaler.mean_active);
+  for (const AdmissionResult& result : runs_) {
+    // One span per served request (or per stage for pipelined requests),
+    // one instant per shed decision / destroyed attempt / permanent loss.
+    std::size_t worst = result.shed.decisions.size() +
+                        result.fault.attempts.size() +
+                        result.fault.losses.size();
+    for (const ScheduledService& s : result.schedule)
+      worst += s.stages.empty() ? 1 : s.stages.size();
+    spans_.reserve(spans_.size() + worst);
+
+    served_->add(result.schedule.size());
+    for (const ScheduledService& s : result.schedule) {
+      latency_->observe(s.completion - s.arrival);
+      queue_wait_->observe(s.start - s.arrival);
+
+      RequestSpan base;
+      base.id = s.id;
+      base.tenant = s.tenant;
+      base.model = s.model;
+      base.priority = s.priority;
+      base.attempts = s.attempts;
+      base.arrival = s.arrival;
+
+      if (s.stages.empty()) {
+        RequestSpan svc = base;
+        svc.kind = SpanKind::kService;
+        svc.pcu = s.pcu;
+        svc.start = s.start;
+        svc.end = s.completion;
+        svc.warmup = s.warmup;
+        svc.swap = s.swap;
+        svc.swapped = s.swapped;
+        spans_.push_back(svc);
+      } else {
+        for (const StageService& st : s.stages) {
+          RequestSpan stage = base;
+          stage.kind = SpanKind::kStage;
+          stage.pcu = st.pcu;
+          stage.stage = static_cast<std::uint32_t>(st.stage);
+          stage.start = st.start;
+          stage.end = st.completion;
+          stage.warmup = st.pin;    // stage pin rides the warmup slot
+          stage.swap = st.handoff;  // hand-off rides the swap slot
+          spans_.push_back(stage);
+        }
+      }
+    }
+
+    for (const ShedDecision& d : result.shed.decisions) {
+      RequestSpan span;
+      span.kind = SpanKind::kShed;
+      span.id = d.id;
+      span.tenant = d.tenant;
+      span.priority = d.priority;
+      span.start = span.end = d.decision_time;
+      spans_.push_back(span);
+    }
+    for (const FaultedAttempt& a : result.fault.attempts) {
+      RequestSpan span;
+      span.kind = SpanKind::kLostAttempt;
+      span.id = a.id;
+      span.pcu = a.pcu;
+      span.attempts = a.attempt;
+      span.start = a.start;
+      span.end = a.end;
+      spans_.push_back(span);
+    }
+    for (const RequestLoss& l : result.fault.losses) {
+      RequestSpan span;
+      span.kind = SpanKind::kFailed;
+      span.id = l.id;
+      span.tenant = l.tenant;
+      span.priority = l.priority;
+      span.attempts = l.attempts;
+      span.start = span.end = l.time;
+      spans_.push_back(span);
+    }
+  }
+  runs_.clear();
 }
 
 void Telemetry::record_results(const std::vector<RequestResult>& results) {
@@ -381,6 +393,7 @@ void Telemetry::record_results(const std::vector<RequestResult>& results) {
 void Telemetry::record_report(const OpenLoopReport& report) {
   report_ = report;
   have_report_ = true;
+  makespan_from_run_ = false;
   makespan_->set(report.makespan);
   mean_active_->set(report.autoscaler.mean_active);
   for (std::size_t p = 0; p < report.per_pcu.size(); ++p) {
@@ -402,7 +415,7 @@ void Telemetry::record_report(const OpenLoopReport& report) {
 }
 
 void Telemetry::write_prometheus(std::ostream& os) const {
-  registry_.write_prometheus(os);
+  metrics().write_prometheus(os);
 }
 
 namespace {
@@ -416,6 +429,7 @@ std::string track_name(std::size_t p, const std::string& tag) {
 } // namespace
 
 void Telemetry::write_chrome_trace(std::ostream& os) const {
+  derive();
   TraceWriter writer;
   constexpr std::uint32_t kFleetPid = 1;
   constexpr std::uint32_t kTenantPid = 2;

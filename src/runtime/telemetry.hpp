@@ -4,8 +4,10 @@
 // off AdmissionOptions / BatchRunnerOptions as a raw pointer (nullptr —
 // the default — means off); when present, the admission loop feeds it
 // cheap read-only hooks (queue-depth samples at each dispatch opportunity,
-// dispatch-decision counters) and hands it the finished AdmissionResult,
-// from which the per-request spans are derived in virtual time:
+// dispatch-decision counters) and hands it the finished AdmissionResult.
+// Recording only stores: the result of each run and one pair per
+// queue-depth sample. The first query or export after a run derives from
+// them the per-request spans in virtual time,
 //
 //   queue-wait        arrival -> service start (tenant track)
 //   service           start -> completion on the serving PCU, with the
@@ -14,6 +16,12 @@
 //     hand-off        that ran each stage
 //   lost attempt      PCU time a fault destroyed (retried or not)
 //   shed / failed     instants on the tenant track
+//
+// and the instruments that read the same data: the latency and queue-wait
+// histograms, the served counter, the queue-depth gauge and histogram, and
+// the makespan gauge.
+// Derivation folds runs and samples in the order they were recorded, so
+// every value carries the bits per-request recording would have given.
 //
 // Engine-phase counters (patches streamed, bank passes, noise draws,
 // DAC/ADC conversions) arrive via record_results: each functional
@@ -158,12 +166,12 @@ enum class SpanKind : unsigned char {
 
 const char* span_kind_name(SpanKind kind);
 
-/// One virtual-time span (or instant: start == end), derived from the
-/// AdmissionResult after the run. Recording stores one span per service /
-/// stage / shed / loss; the redundant trace events (queue-wait on the
-/// tenant track, swap / warmup / pin / hand-off overhead slices) are pure
-/// functions of these fields and are derived at export time, keeping the
-/// in-run recording cost minimal.
+/// One virtual-time span (or instant: start == end), derived from a
+/// recorded AdmissionResult at the first query or export after its run:
+/// one span per service / stage / shed / loss. The redundant trace events
+/// (queue-wait on the tenant track, swap / warmup / pin / hand-off overhead
+/// slices) are pure functions of these fields and are derived by the
+/// Chrome-trace exporter.
 struct RequestSpan {
   /// Track sentinel: the span lives on its tenant's track, not a PCU's.
   static constexpr std::size_t kNoPcu = std::numeric_limits<std::size_t>::max();
@@ -196,17 +204,22 @@ class Telemetry {
 
   // --- in-loop hooks (called by PcuPool::simulate_admission) ---
 
-  /// Pending-queue depth at a deferred dispatch opportunity.
-  void on_queue_depth(double t, std::size_t depth);
+  /// Pending-queue depth at a deferred dispatch opportunity. Appends the
+  /// sample; the gauge and histogram are derived from the samples later.
+  void on_queue_depth(double t, std::size_t depth) {
+    queue_depth_samples_.emplace_back(t, static_cast<std::uint64_t>(depth));
+  }
   /// One committed dispatch decision.
   void on_dispatch(bool swapped, bool pipelined);
 
   // --- post-run recording ---
 
-  /// Derive spans and admission metrics from a finished admission run.
-  /// Accumulates: serving the same Telemetry to several runs concatenates
-  /// their spans (the trace then shows them back to back).
-  void record_admission(const AdmissionResult& result, const PcuPool& pool,
+  /// Keep a finished admission run (moved in when the caller is done with
+  /// it, else copied); its spans and per-request metrics are derived at
+  /// the next query or export. Accumulates: serving the same Telemetry to
+  /// several runs concatenates their spans (the trace then shows them back
+  /// to back).
+  void record_admission(AdmissionResult result, const PcuPool& pool,
                         const AdmissionOptions& options);
   /// Fold per-request engine-phase counters into the fleet totals,
   /// summing in request-id order (results as returned by BatchRunner).
@@ -215,11 +228,20 @@ class Telemetry {
   /// reconciliation totals embedded in the Chrome trace.
   void record_report(const OpenLoopReport& report);
 
-  // --- access ---
+  // --- access (each derives whatever was recorded since the last one) ---
 
-  MetricsRegistry& metrics() { return registry_; }
-  const MetricsRegistry& metrics() const { return registry_; }
-  const std::vector<RequestSpan>& spans() const { return spans_; }
+  MetricsRegistry& metrics() {
+    derive();
+    return registry_;
+  }
+  const MetricsRegistry& metrics() const {
+    derive();
+    return registry_;
+  }
+  const std::vector<RequestSpan>& spans() const {
+    derive();
+    return spans_;
+  }
   const std::vector<std::pair<double, std::uint64_t>>& queue_depth_samples()
       const {
     return queue_depth_samples_;
@@ -234,7 +256,13 @@ class Telemetry {
   void write_prometheus(std::ostream& os) const;
 
  private:
-  MetricsRegistry registry_;
+  /// Fold the runs and queue-depth samples recorded since the last call
+  /// into spans_ and the derived instruments, in recording order.
+  void derive() const;
+
+  // The derived state is a cache of what was recorded: const queries and
+  // exporters fill it in.
+  mutable MetricsRegistry registry_;
 
   // Canonical instruments, registered once in the constructor.
   Counter* dispatches_ = nullptr;
@@ -260,8 +288,15 @@ class Telemetry {
   Histogram* latency_ = nullptr;
   Histogram* queue_depth_ = nullptr;
 
-  std::vector<RequestSpan> spans_;
+  mutable std::vector<RequestSpan> spans_;
   std::vector<std::pair<double, std::uint64_t>> queue_depth_samples_;
+  /// Recorded admission runs not yet derived into spans_.
+  mutable std::vector<AdmissionResult> runs_;
+  /// queue_depth_samples_[0, depth_derived_) are in the gauge/histogram.
+  mutable std::size_t depth_derived_ = 0;
+  /// The makespan gauge's last write is the last recorded run's, not yet
+  /// derived (record_report writes it directly and clears this).
+  mutable bool makespan_from_run_ = false;
 
   // Fleet shape, captured at record_admission.
   std::size_t num_pcus_ = 0;

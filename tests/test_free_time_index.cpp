@@ -52,12 +52,14 @@ struct SimPcu {
   bool eligible = true; ///< the per-PCU filter (e.g. degraded disallowed)
 };
 
-/// One random fleet and its index, kept in lockstep.
+/// One random fleet of min_pcus..max_pcus PCUs and its index, kept in
+/// lockstep.
 class Fleet {
  public:
-  Fleet(Rng& rng, bool double_buffer, bool by_free_time)
+  Fleet(Rng& rng, bool double_buffer, bool by_free_time, std::size_t min_pcus,
+        std::size_t max_pcus)
       : double_buffer_(double_buffer), by_free_time_(by_free_time),
-        index_(1 + rng.next_u64() % 40) {
+        index_(min_pcus + rng.next_u64() % (max_pcus - min_pcus + 1)) {
     const std::size_t tiers = 1 + rng.next_u64() % 3;
     for (std::size_t d = 0; d < tiers; ++d) {
       Device dev;
@@ -187,7 +189,8 @@ class Fleet {
   double now_ = 0.0;
 };
 
-void run_one(std::uint64_t seed) {
+void run_one(std::uint64_t seed, std::size_t min_pcus = 1,
+             std::size_t max_pcus = 40) {
   Rng rng(seed);
   const bool double_buffer = rng.next_u64() % 4 != 0;
   // Earliest-free scores by free time alone and never advances the index;
@@ -195,7 +198,7 @@ void run_one(std::uint64_t seed) {
   const bool by_free_time = rng.next_u64() % 3 == 0;
   // Commit at arrival (busy PCUs compete) or at a PCU-free event.
   const bool busy_ok = rng.next_u64() % 2 == 0;
-  Fleet fleet(rng, double_buffer, by_free_time);
+  Fleet fleet(rng, double_buffer, by_free_time, min_pcus, max_pcus);
   SCOPED_TRACE("seed " + std::to_string(seed) + " pcus " +
                std::to_string(fleet.size()) +
                (double_buffer ? "" : " serial") +
@@ -258,6 +261,91 @@ TEST(FreeTimeIndex, MatchesTheFullScanOnRandomFleets) {
     run_one(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(FreeTimeIndex, MatchesTheFullScanOnWideFleets) {
+  // 65-300 PCUs: fleets wider than one 64-bit word of PCU indices, with
+  // long idle and busy sets.
+  for (std::uint64_t seed = 401; seed <= 460; ++seed) {
+    run_one(seed, 65, 300);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(FreeTimeIndex, OutOfOrderFreeTimesMissTheEndHint) {
+  // A commit files its PCU with a hint at the end of its busy set. Free
+  // times below the set's largest miss that hint and must still land in
+  // (free_at, index) order.
+  constexpr std::size_t kPcus = 12;
+  FreeTimeIndex index(kPcus);
+  std::vector<double> free_at(kPcus);
+  const auto file = [&](std::size_t p, double t) {
+    free_at[p] = t;
+    index.update(p, {0, t, false, false, true});
+  };
+  for (std::size_t p = 0; p < 6; ++p) file(p, 1.0 + static_cast<double>(p));
+  const double late[] = {3.5, 0.5, 6.0, 2.0, 2.0, 9.0};
+  for (std::size_t p = 6; p < kPcus; ++p) file(p, late[p - 6]);
+  file(2, 0.25);  // re-filed below everything
+  file(4, 10.0);  // and above everything
+
+  std::vector<std::size_t> want(kPcus);
+  for (std::size_t p = 0; p < kPcus; ++p) want[p] = p;
+  std::sort(want.begin(), want.end(), [&](std::size_t a, std::size_t b) {
+    return free_at[a] != free_at[b] ? free_at[a] < free_at[b] : a < b;
+  });
+  // Scored by free time, the picks walk the set in order.
+  std::vector<unsigned char> taken(kPcus, 0);
+  const auto all = [](std::size_t) { return true; };
+  const auto by_free_at = [&](std::size_t p) { return free_at[p]; };
+  for (const std::size_t p : want) {
+    ASSERT_EQ(p, index.pick(0.0, true, all, by_free_at,
+                            [&](std::size_t q) { return !taken[q]; }));
+    taken[p] = 1;
+  }
+  EXPECT_EQ(0.25, index.earliest_free(0.0));
+  double t = 0.0;
+  for (const std::size_t p : want) {
+    if (free_at[p] == t) continue; // a shared free time is one event
+    ASSERT_EQ(free_at[p], index.next_free_after(t));
+    t = free_at[p];
+  }
+  EXPECT_EQ(kInf, index.next_free_after(t));
+}
+
+TEST(FreeTimeIndex, FiledPcusSurviveTheTiersGrowing) {
+  // A new tier id grows the tier table, which moves every tier's sets; the
+  // positions the index keeps for filed PCUs must survive the move.
+  constexpr std::size_t kPcus = 16;
+  FreeTimeIndex index(kPcus);
+  for (std::size_t p = 0; p < 8; ++p)
+    index.update(p, {0, 1.0 + static_cast<double>(p), p % 2 == 0, false,
+                     true});
+  index.advance(4.5); // PCUs 0-3 freed before 4.5: idle; 4-7 stay busy
+  // One new tier at a time, so the table reallocates several times.
+  for (std::size_t p = 8; p < kPcus; ++p)
+    index.update(p, {p - 7, 10.0 + static_cast<double>(p), false, false,
+                     true});
+  // Re-filing the first PCUs takes each out of its set through the kept
+  // position: idle ones and busy ones alike.
+  for (std::size_t p = 0; p < 8; ++p)
+    index.update(p, {0, 20.0 + static_cast<double>(p), false, false, true});
+
+  const auto all = [](std::size_t) { return true; };
+  const auto by_free_at = [](std::size_t p) {
+    return p < 8 ? 20.0 + static_cast<double>(p)
+                 : 10.0 + static_cast<double>(p);
+  };
+  EXPECT_EQ(18.0, index.earliest_free(4.5));
+  EXPECT_EQ(19.0, index.next_free_after(18.0));
+  EXPECT_EQ(26.0, index.next_free_after(25.0)); // PCU 6, re-filed
+  EXPECT_EQ(8u, index.pick(4.5, true, all, by_free_at, all));
+  EXPECT_EQ(0u, index.pick(4.5, true, all, by_free_at,
+                           [](std::size_t p) { return p < 8; }));
+  EXPECT_EQ(kPcus, index.pick(4.5, false, all, by_free_at, all));
+  for (std::size_t p = 0; p < kPcus; ++p)
+    index.update(p, {p < 8 ? 0 : p - 7, 0.0, false, false, false});
+  EXPECT_EQ(kInf, index.earliest_free(4.5));
 }
 
 TEST(FreeTimeIndex, EqualScoresGoToTheLowestIndex) {

@@ -100,6 +100,34 @@ TEST(NormalStream, ZigguratTablesAreOrdered) {
         << i;
 }
 
+TEST(NormalStream, FirstTestAcceptsSumOfRatiosOver128) {
+  // A draw returns from next()'s first test when |u| < ratio[i], u
+  // uniform on [-1, 1) and i uniform over the layers: probability
+  // sum(ratio) / 128.
+  const ZigguratTables& t = pcnna::ziggurat_tables();
+  double sum = 0.0;
+  for (const double r : t.ratio) sum += r;
+  const double p = sum / static_cast<double>(ZigguratTables::kLayers);
+  EXPECT_NEAR(0.97244, p, 1e-5);
+
+  // Every other path draws at least one more word, so a draw took the
+  // first test exactly when it consumed one word of the stream.
+  constexpr std::size_t kCount = std::size_t{1} << 20;
+  NormalStream s(pcnna::Rng(2026).next_u64());
+  std::size_t first = 0;
+  for (std::size_t k = 0; k < kCount; ++k) {
+    NormalStream one_word = s;
+    one_word.next_u64();
+    s.next();
+    NormalStream after = s;
+    first += after.next_u64() == one_word.next_u64() ? 1 : 0;
+  }
+  const double n = static_cast<double>(kCount);
+  const double sd = std::sqrt(n * p * (1.0 - p));
+  EXPECT_LT(std::abs(static_cast<double>(first) - n * p), 5.0 * sd)
+      << first << " of " << kCount << " draws took the first test";
+}
+
 TEST(NormalStream, MomentsMatchTheStandardNormal) {
   const std::vector<double>& z = draws();
   const double n = static_cast<double>(z.size());

@@ -1,12 +1,20 @@
 // Text table and CSV writers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/report.hpp"
+#include "common/rng.hpp"
 
 namespace {
 
@@ -111,6 +119,81 @@ TEST(DistributionSummary, EmptyAndSingleton) {
   EXPECT_DOUBLE_EQ(3.5, one.p50);
   EXPECT_DOUBLE_EQ(3.5, one.p999);
   EXPECT_DOUBLE_EQ(3.5, one.max);
+}
+
+/// The comparison-sort summary summarize_distribution computed before its
+/// radix sort: the reference its every field must match bit for bit.
+pcnna::DistributionSummary sorted_summary(std::vector<double> samples) {
+  pcnna::DistributionSummary s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  s.count = samples.size();
+  double sum = 0.0;
+  for (double v : samples) sum += v;
+  s.mean = sum / static_cast<double>(samples.size());
+  s.min = samples.front();
+  s.max = samples.back();
+  s.p50 = pcnna::quantile_sorted(samples, 0.50);
+  s.p90 = pcnna::quantile_sorted(samples, 0.90);
+  s.p99 = pcnna::quantile_sorted(samples, 0.99);
+  s.p999 = pcnna::quantile_sorted(samples, 0.999);
+  return s;
+}
+
+void expect_same_bits(const pcnna::DistributionSummary& want,
+                      const pcnna::DistributionSummary& got) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(want.count, got.count);
+  EXPECT_EQ(bits(want.mean), bits(got.mean)) << want.mean << " " << got.mean;
+  EXPECT_EQ(bits(want.min), bits(got.min)) << want.min << " " << got.min;
+  EXPECT_EQ(bits(want.max), bits(got.max)) << want.max << " " << got.max;
+  EXPECT_EQ(bits(want.p50), bits(got.p50)) << want.p50 << " " << got.p50;
+  EXPECT_EQ(bits(want.p90), bits(got.p90)) << want.p90 << " " << got.p90;
+  EXPECT_EQ(bits(want.p99), bits(got.p99)) << want.p99 << " " << got.p99;
+  EXPECT_EQ(bits(want.p999), bits(got.p999)) << want.p999 << " " << got.p999;
+}
+
+TEST(DistributionSummary, RadixSummaryMatchesTheComparisonSortBitwise) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Each shape draws one sample; none yields NaN or -0.0, the two inputs
+  // whose order the radix sort does not share with std::sort.
+  struct Shape {
+    const char* name;
+    double (*draw)(pcnna::Rng&);
+  };
+  const Shape shapes[] = {
+      {"latency-like", [](pcnna::Rng& r) { return 2e-5 + 1e-5 * r.uniform(); }},
+      {"signed", [](pcnna::Rng& r) { return 1e3 * r.normal(); }},
+      {"duplicates",
+       [](pcnna::Rng& r) { return 0.25 * static_cast<double>(r.uniform_index(5)) - 0.5; }},
+      {"all zeros", [](pcnna::Rng&) { return 0.0; }},
+      {"wide exponents",
+       [](pcnna::Rng& r) {
+         const double mag = std::ldexp(1.0 + r.uniform(),
+                                       static_cast<int>(r.uniform_index(600)) - 300);
+         return r.uniform() < 0.5 ? -mag : mag;
+       }},
+      {"with infinities",
+       [](pcnna::Rng& r) {
+         const std::uint64_t k = r.uniform_index(10);
+         return k == 0 ? kInf : k == 1 ? -kInf : r.normal();
+       }},
+      {"with +inf only",
+       [](pcnna::Rng& r) { return r.uniform_index(4) == 0 ? kInf : r.uniform(); }},
+  };
+  pcnna::Rng rng(20);
+  for (const Shape& shape : shapes) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{4}, std::size_t{5}, std::size_t{1000},
+          std::size_t{50000}}) {
+      SCOPED_TRACE(std::string(shape.name) + ", n = " + std::to_string(n));
+      std::vector<double> samples(n);
+      for (double& v : samples) v = shape.draw(rng);
+      expect_same_bits(sorted_summary(samples),
+                       pcnna::summarize_distribution(samples));
+    }
+  }
 }
 
 TEST(QuantileSorted, InterpolatesAndValidates) {
