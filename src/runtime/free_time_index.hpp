@@ -22,11 +22,15 @@
 // step per ineligible candidate it skips.
 //
 // The index remembers where each listed PCU sits (its set iterator), so
-// taking a PCU out of its set never searches. A commit files the PCU back
-// with an end-of-set hint: under arrival-ordered traffic its new free time
-// is usually the largest in its busy set, so the insert costs O(1)
-// amortized; a wrong hint costs one ordinary O(log P) insert and changes
-// no answer.
+// taking a PCU out of its set never searches. A commit files a busy PCU
+// back with an end-of-set hint. When its new (free_at, index) is the
+// largest in the set the insert links there in O(1) amortized; otherwise
+// the hint is ignored and the insert is an ordinary O(log P) one with the
+// same result. Measured hit shares: 100 % on perfbench's admit_fifo_2048
+// (least-loaded, one tier), 80-98 % on its earliest-free and EDF rows,
+// 58 % on admit_multimodel_faults and 30 % on that workload's EDF row. On
+// 2048 PCUs a hit saves ~75 ns per commit over a plain insert; a miss
+// costs about what a plain insert does.
 //
 // The index never computes a score: the caller supplies it, and promises
 // that, at the query time, every PCU of one busy set scores non-decreasing

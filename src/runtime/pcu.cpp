@@ -1,7 +1,7 @@
 #include "runtime/pcu.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <cstdlib>
 #include <utility>
 
 #include "common/error.hpp"
@@ -130,11 +130,10 @@ std::uint32_t Pcu::add_model(ModelSlot slot) {
 }
 
 void Pcu::throw_no_model(std::uint32_t model) const {
-  std::ostringstream msg;
-  msg << "PCU " << index_ << " has " << models_.size()
-      << " registered models, no model " << model;
-  detail::throw_check_failure("model < models_.size()", __FILE__, __LINE__,
-                              msg.str());
+  PCNNA_CHECK_MSG(model < models_.size(),
+                  "PCU " << index_ << " has " << models_.size()
+                         << " registered models, no model " << model);
+  std::abort(); // unreachable: model_slot calls this only when the check fails
 }
 
 StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,

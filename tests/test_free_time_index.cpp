@@ -264,8 +264,9 @@ TEST(FreeTimeIndex, MatchesTheFullScanOnRandomFleets) {
 }
 
 TEST(FreeTimeIndex, MatchesTheFullScanOnWideFleets) {
-  // 65-300 PCUs: fleets wider than one 64-bit word of PCU indices, with
-  // long idle and busy sets.
+  // 65-300 PCUs: long idle and busy sets, where random commits miss the
+  // end-of-set insert hint and PCUs leave their sets by kept position many
+  // times per walk.
   for (std::uint64_t seed = 401; seed <= 460; ++seed) {
     run_one(seed, 65, 300);
     if (::testing::Test::HasFatalFailure()) return;
