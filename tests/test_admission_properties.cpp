@@ -17,7 +17,9 @@
 //  * golden FIFO schedules: the commit-at-arrival policies reproduce
 //    pinned schedule digests on a homogeneous and a mixed fleet;
 //  * golden admission results across fleet shapes, warmup policies,
-//    serial pricing, two models, 2048 PCUs and every deferral mode.
+//    serial pricing, two models, 2048 PCUs and every deferral mode, and
+//    golden outcomes (stage spans, fault counters, per-PCU health,
+//    pipeline totals) over the deferral modes and their combinations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 
 #include "common/rng.hpp"
 #include "core/config.hpp"
+#include "core/planner.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
 #include "runtime/pcu_pool.hpp"
@@ -786,14 +789,16 @@ struct GoldenCase {
   std::uint64_t digest;
 };
 
-void expect_golden(const std::vector<GoldenCase>& cases) {
+void expect_golden(const std::vector<GoldenCase>& cases,
+                   std::uint64_t (*digest)(const AdmissionResult&) =
+                       admission_digest) {
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(std::string(c.name) + " " +
                  runtime::dispatch_policy_name(c.options.policy));
     const AdmissionResult r = admit(*c.pool, c.requests, c.options);
     ASSERT_GT(r.schedule.size(), 0u);
-    EXPECT_EQ(c.digest, admission_digest(r))
-        << std::hex << std::uppercase << "0x" << admission_digest(r);
+    EXPECT_EQ(c.digest, digest(r))
+        << std::hex << std::uppercase << "0x" << digest(r);
   }
 }
 
@@ -875,105 +880,216 @@ TEST(AdmissionGolden, CommitAtArrivalMatchesPinnedDigests) {
   });
 }
 
-TEST(AdmissionGolden, DeferredPathsMatchPinnedDigests) {
-  const TwoModels t = make_two_models();
-  PcuPool four(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull, t.net,
-               t.weights_a);
-  four.register_model(t.net, t.weights_b);
-  PcuPool piped(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
-                t.net, t.weights_a);
-  piped.register_model(t.net, t.weights_b);
-  piped.build_pipeline(/*model=*/1, {0, 1});
-  PcuSpec big;
-  big.config = PcnnaConfig::paper_defaults();
-  PcuSpec small;
-  small.config = PcnnaConfig::small_core();
-  small.warmup = runtime::WarmupPolicy::kPinnedAfterFirst;
-  PcuPool mixed({big, small, big, small}, TimingFidelity::kFull, t.net,
-                t.weights_a);
-  const double interval = four.pcu(0).request_interval_overlapped(0);
+/// The fleets and options of the deferred golden cases, shared by the
+/// admission digests and the outcome digests below.
+struct DeferredFleets {
+  TwoModels t = make_two_models();
+  PcuPool four{4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull, t.net,
+               t.weights_a};
+  PcuPool piped{4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                t.net, t.weights_a};
+  PcuPool mixed = make_mixed();
+  // Many idle PCUs, some degraded and never repaired: a degraded PCU must
+  // lose to an idle healthy one from the moment its degrade strikes.
+  PcuPool sixteen{16, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                  t.net, t.weights_a};
+  // Light, bursty load: the autoscaler parks and wakes PCUs all run long.
+  PcuPool eight{8, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+                t.net, t.weights_a};
+  double interval = four.pcu(0).request_interval_overlapped(0);
 
-  AdmissionOptions edf_shed = with_policy(DispatchPolicy::kEdf);
-  edf_shed.shed_expired = true;
+  DeferredFleets() {
+    four.register_model(t.net, t.weights_b);
+    piped.register_model(t.net, t.weights_b);
+    piped.build_pipeline(/*model=*/1, {0, 1});
+  }
 
-  const auto scaled = [&](DispatchPolicy policy) {
+  PcuPool make_mixed() const {
+    PcuSpec big;
+    big.config = PcnnaConfig::paper_defaults();
+    PcuSpec small;
+    small.config = PcnnaConfig::small_core();
+    small.warmup = runtime::WarmupPolicy::kPinnedAfterFirst;
+    return PcuPool({big, small, big, small}, TimingFidelity::kFull, t.net,
+                   t.weights_a);
+  }
+
+  AdmissionOptions scaled(DispatchPolicy policy) const {
     AdmissionOptions o = with_policy(policy);
     o.autoscaler.enabled = true;
     o.autoscaler.min_active = 1;
     o.autoscaler.backlog_per_pcu = 1.5;
     o.autoscaler.shrink_after_idle = 3.0 * interval;
     return o;
-  };
+  }
 
-  runtime::FaultModel hazard;
-  hazard.mtbf = 50.0 * interval;
-  hazard.horizon = 200.0 * interval;
-  hazard.mean_time_to_repair = 15.0 * interval;
-  hazard.crash_weight = 3.0;
-  const auto faulty = [&](DispatchPolicy policy, std::uint64_t seed) {
+  AdmissionOptions faulty(DispatchPolicy policy, std::uint64_t seed) const {
+    runtime::FaultModel hazard;
+    hazard.mtbf = 50.0 * interval;
+    hazard.horizon = 200.0 * interval;
+    hazard.mean_time_to_repair = 15.0 * interval;
+    hazard.crash_weight = 3.0;
     AdmissionOptions o = with_policy(policy);
     o.faults.schedule = runtime::poisson_faults(4, hazard, seed);
     o.faults.detection_latency = 0.5 * interval;
     o.faults.retry.backoff_base = 0.25 * interval;
     o.faults.repair_time = 2.0 * interval;
     return o;
+  }
+
+  std::vector<GoldenCase> cases() {
+    AdmissionOptions edf_shed = with_policy(DispatchPolicy::kEdf);
+    edf_shed.shed_expired = true;
+    AdmissionOptions blind = faulty(DispatchPolicy::kLeastLoaded, 104);
+    blind.faults.health_aware = false;
+    runtime::FaultModel drift;
+    drift.mtbf = 100.0 * interval;
+    drift.horizon = 150.0 * interval;
+    drift.transient_weight = 0.0;
+    drift.crash_weight = 0.0;
+    AdmissionOptions drifting = with_policy(DispatchPolicy::kLeastLoaded);
+    drifting.faults.schedule = runtime::poisson_faults(16, drift, 108);
+    drifting.faults.health_aware = false;
+    AdmissionOptions parking = scaled(DispatchPolicy::kLeastLoaded);
+    parking.autoscaler.backlog_per_pcu = 1.0;
+    parking.autoscaler.shrink_after_idle = 1.0 * interval;
+
+    using P = DispatchPolicy;
+    return {
+        {"edf + shed", &four, edf_shed, seeded_stream(four, 300, 7),
+         0x24E9A96BC3901A78ull},
+        {"autoscaler", &four, scaled(P::kLeastLoaded),
+         seeded_stream(four, 300, 7), 0xCE7339B6A183347Dull},
+        {"autoscaler", &four, scaled(P::kEdf), seeded_stream(four, 300, 21),
+         0x7282396B8B4793BCull},
+        {"autoscaler", &four, scaled(P::kModelAffinity),
+         seeded_stream(four, 300, 21), 0x0DFD240974A13192ull},
+        {"autoscaler", &piped, scaled(P::kPipeline),
+         seeded_stream(piped, 300, 17), 0x6904812AFB7E20E0ull},
+        {"autoscaler, 0.9x load", &mixed, scaled(P::kLeastLoaded),
+         fifo_stream(mixed), 0x19857605E87F735Bull},
+        {"health-aware faults", &four, faulty(P::kLeastLoaded, 101),
+         seeded_stream(four, 300, 7), 0x63D630B1EA5AB3ABull},
+        {"health-aware faults", &four, faulty(P::kEarliestFree, 102),
+         seeded_stream(four, 300, 21), 0xEE3BD71D990E961Bull},
+        {"health-aware faults", &mixed, faulty(P::kCapabilityAware, 103),
+         fifo_stream(mixed), 0x14787A8405EDC260ull},
+        {"health-aware faults", &four, faulty(P::kEdf, 105),
+         seeded_stream(four, 300, 63), 0x891353AA87DE0D45ull},
+        {"health-aware faults", &four, faulty(P::kModelAffinity, 106),
+         seeded_stream(four, 300, 63), 0xEA1EE3EA353C32A2ull},
+        {"health-aware faults", &piped, faulty(P::kPipeline, 107),
+         seeded_stream(piped, 300, 17), 0x2FDA942EF9CAA51Full},
+        {"fault-blind", &four, blind, seeded_stream(four, 300, 7),
+         0xD6396EE3797D5AD4ull},
+        {"fault-blind degrades, 0.5x load", &sixteen, drifting,
+         fifo_stream(sixteen, 0.5), 0x07B15C130D54521Eull},
+        {"autoscaler, 0.3x load", &eight, parking, fifo_stream(eight, 0.3),
+         0xF834ACF9192FE29Eull},
+    };
+  }
+};
+
+TEST(AdmissionGolden, DeferredPathsMatchPinnedDigests) {
+  DeferredFleets f;
+  expect_golden(f.cases());
+}
+
+// --- Golden outcomes admission_digest does not hash ---
+//
+// admission_digest covers the schedule's (id, PCU, start, completion,
+// warmup, swap), the shed decisions, the autoscaler counts and the fault
+// losses. outcome_digest adds everything else a restructured loop could
+// move: every pipeline stage span, the fault counters, each PCU's dwell
+// times and availability, and the pipeline totals.
+
+/// admission_digest plus stage spans, fault counters, per-PCU health and
+/// pipeline totals.
+std::uint64_t outcome_digest(const AdmissionResult& r) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::uint64_t h = admission_digest(r);
+  for (const ScheduledService& s : r.schedule) {
+    h = fnv1a(h, s.attempts);
+    for (const runtime::StageService& st : s.stages) {
+      for (const std::uint64_t w :
+           {std::uint64_t{st.stage}, std::uint64_t{st.pcu},
+            std::uint64_t{st.op_begin}, std::uint64_t{st.op_end},
+            bits(st.start), bits(st.completion), bits(st.pin),
+            bits(st.handoff)})
+        h = fnv1a(h, w);
+    }
+  }
+  const runtime::FaultReport& f = r.fault;
+  for (const std::uint64_t w :
+       {std::uint64_t{f.injections}, std::uint64_t{f.transient_corruptions},
+        std::uint64_t{f.crash_losses}, std::uint64_t{f.retries},
+        std::uint64_t{f.recovered_requests}, std::uint64_t{f.lost_requests},
+        std::uint64_t{f.quarantines}, std::uint64_t{f.repairs},
+        bits(f.repair_time), std::uint64_t{f.plan_epoch_bumps}})
+    h = fnv1a(h, w);
+  for (const runtime::PcuHealthStats& hs : f.per_pcu) {
+    for (const double v : {hs.healthy_time, hs.degraded_time,
+                           hs.quarantined_time, hs.failed_time,
+                           hs.availability, hs.lost_time})
+      h = fnv1a(h, bits(v));
+    h = fnv1a(h, hs.lost_attempts);
+  }
+  const runtime::PipelineStats& p = r.pipeline;
+  for (const std::uint64_t w :
+       {std::uint64_t{p.groups}, std::uint64_t{p.pipelined_requests},
+        std::uint64_t{p.stage_spans}, std::uint64_t{p.replacements},
+        bits(p.pin_time), bits(p.handoff_time)})
+    h = fnv1a(h, w);
+  return h;
+}
+
+TEST(AdmissionGolden, OutcomesMatchPinnedDigests) {
+  DeferredFleets f;
+  std::vector<GoldenCase> cases = f.cases();
+  // outcome_digest of each deferred case, in DeferredFleets::cases order.
+  const std::uint64_t outcomes[] = {
+      0x56877AB5B6D89679ull, 0x80A850D82CF57F3Dull, 0xAA9CC12C02DA147Cull,
+      0x44C46FB626CE3752ull, 0x2581F35E5C1428D3ull, 0x58E9CF4219AB7A5Bull,
+      0x504086D46F365382ull, 0xC8227BBA76DBCFECull, 0x0BB6C4B444B2B3D1ull,
+      0x27EF796547F3E677ull, 0x9D125EBDFB948069ull, 0xEDE3A40730755DB7ull,
+      0x32E6D1413103A2D2ull, 0x39562AE5DDCDC1C8ull, 0x09AA9485E883F79Eull,
   };
-  AdmissionOptions blind = faulty(DispatchPolicy::kLeastLoaded, 104);
-  blind.faults.health_aware = false;
-
-  // Many idle PCUs, some degraded and never repaired: a degraded PCU must
-  // lose to an idle healthy one from the moment its degrade strikes.
-  PcuPool sixteen(16, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
-                  t.net, t.weights_a);
-  runtime::FaultModel drift;
-  drift.mtbf = 100.0 * interval;
-  drift.horizon = 150.0 * interval;
-  drift.transient_weight = 0.0;
-  drift.crash_weight = 0.0;
-  AdmissionOptions drifting = with_policy(DispatchPolicy::kLeastLoaded);
-  drifting.faults.schedule = runtime::poisson_faults(16, drift, 108);
-  drifting.faults.health_aware = false;
-
-  // Light, bursty load: the autoscaler parks and wakes PCUs all run long.
-  PcuPool eight(8, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
-                t.net, t.weights_a);
-  AdmissionOptions parking = scaled(DispatchPolicy::kLeastLoaded);
-  parking.autoscaler.backlog_per_pcu = 1.0;
-  parking.autoscaler.shrink_after_idle = 1.0 * interval;
+  ASSERT_EQ(std::size(outcomes), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i)
+    cases[i].digest = outcomes[i];
 
   using P = DispatchPolicy;
-  expect_golden({
-      {"edf + shed", &four, edf_shed, seeded_stream(four, 300, 7),
-       0x24E9A96BC3901A78ull},
-      {"autoscaler", &four, scaled(P::kLeastLoaded),
-       seeded_stream(four, 300, 7), 0xCE7339B6A183347Dull},
-      {"autoscaler", &four, scaled(P::kEdf), seeded_stream(four, 300, 21),
-       0x7282396B8B4793BCull},
-      {"autoscaler", &four, scaled(P::kModelAffinity),
-       seeded_stream(four, 300, 21), 0x0DFD240974A13192ull},
-      {"autoscaler", &piped, scaled(P::kPipeline),
-       seeded_stream(piped, 300, 17), 0x6904812AFB7E20E0ull},
-      {"autoscaler, 0.9x load", &mixed, scaled(P::kLeastLoaded),
-       fifo_stream(mixed), 0x19857605E87F735Bull},
-      {"health-aware faults", &four, faulty(P::kLeastLoaded, 101),
-       seeded_stream(four, 300, 7), 0x63D630B1EA5AB3ABull},
-      {"health-aware faults", &four, faulty(P::kEarliestFree, 102),
-       seeded_stream(four, 300, 21), 0xEE3BD71D990E961Bull},
-      {"health-aware faults", &mixed, faulty(P::kCapabilityAware, 103),
-       fifo_stream(mixed), 0x14787A8405EDC260ull},
-      {"health-aware faults", &four, faulty(P::kEdf, 105),
-       seeded_stream(four, 300, 63), 0x891353AA87DE0D45ull},
-      {"health-aware faults", &four, faulty(P::kModelAffinity, 106),
-       seeded_stream(four, 300, 63), 0xEA1EE3EA353C32A2ull},
-      {"health-aware faults", &piped, faulty(P::kPipeline, 107),
-       seeded_stream(piped, 300, 17), 0x2FDA942EF9CAA51Full},
-      {"fault-blind", &four, blind, seeded_stream(four, 300, 7),
-       0xD6396EE3797D5AD4ull},
-      {"fault-blind degrades, 0.5x load", &sixteen, drifting,
-       fifo_stream(sixteen, 0.5), 0x07B15C130D54521Eull},
-      {"autoscaler, 0.3x load", &eight, parking, fifo_stream(eight, 0.3),
-       0xF834ACF9192FE29Eull},
-  });
+  // Three combinations no other golden pins. Pipeline + shed: model 1
+  // through its group, model 0 on the unreserved PCUs, both shedding.
+  AdmissionOptions piped_shed = with_policy(P::kPipeline);
+  piped_shed.shed_expired = true;
+  // Faults + autoscaler, with a plan cache so repairs bump its epochs.
+  core::PlanCache plans;
+  AdmissionOptions scaled_faults = f.faulty(P::kLeastLoaded, 109);
+  scaled_faults.autoscaler = f.scaled(P::kLeastLoaded).autoscaler;
+  scaled_faults.faults.plan_cache = &plans;
+  // Affinity + shed + faults.
+  AdmissionOptions affine = f.faulty(P::kModelAffinity, 110);
+  affine.shed_expired = true;
+  cases.push_back({"pipeline + shed", &f.piped, piped_shed,
+                   seeded_stream(f.piped, 300, 19), 0x819149E29570794Bull});
+  cases.push_back({"faults + autoscaler", &f.four, scaled_faults,
+                   seeded_stream(f.four, 300, 23), 0x916FE323F9F1D7BAull});
+  cases.push_back({"affinity + shed + faults", &f.four, affine,
+                   seeded_stream(f.four, 300, 29), 0xC9FF1E6B7DE963D0ull});
+  expect_golden(cases, outcome_digest);
+
+  // Every ingredient of each new combination fires.
+  const AdmissionResult ps = admit(f.piped, cases[15].requests, piped_shed);
+  EXPECT_GT(ps.shed.shed, 0u);
+  EXPECT_GT(ps.pipeline.pipelined_requests, 0u);
+  const AdmissionResult sf = admit(f.four, cases[16].requests, scaled_faults);
+  EXPECT_GT(sf.autoscaler.scale_ups, 0u);
+  EXPECT_GT(sf.fault.plan_epoch_bumps, 0u);
+  EXPECT_GT(sf.fault.retries, 0u);
+  const AdmissionResult af = admit(f.four, cases[17].requests, affine);
+  EXPECT_GT(af.shed.shed, 0u);
+  EXPECT_GT(af.fault.retries, 0u);
 }
 
 } // namespace
