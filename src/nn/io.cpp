@@ -62,9 +62,27 @@ Tensor load_tensor(const std::string& path) {
   shape.c = read_u64(in);
   shape.h = read_u64(in);
   shape.w = read_u64(in);
-  PCNNA_CHECK_MSG(shape.elements() > 0 && shape.elements() < (1ull << 34),
-                  "'" << path << "': implausible shape");
-  std::vector<double> data(shape.elements());
+  // Every dimension and their running product stay in (0, 2^34): a product
+  // that wrapped past 2^64 would load a tensor whose shape is a lie.
+  constexpr std::uint64_t kMaxElements = (1ull << 34) - 1;
+  std::uint64_t elements = 1;
+  for (const std::uint64_t dim : {shape.n, shape.c, shape.h, shape.w}) {
+    PCNNA_CHECK_MSG(dim > 0 && dim <= kMaxElements / elements,
+                    "'" << path << "': implausible shape " << shape.n << "x"
+                        << shape.c << "x" << shape.h << "x" << shape.w);
+    elements *= dim;
+  }
+  // The values must be exactly what the file still holds — checked before
+  // the allocation, so a lying header cannot ask for gigabytes.
+  const std::streampos values_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::uint64_t remaining =
+      static_cast<std::uint64_t>(in.tellg() - values_at);
+  in.seekg(values_at);
+  PCNNA_CHECK_MSG(remaining == elements * 8,
+                  "'" << path << "': shape claims " << elements * 8
+                      << " bytes of values but the file holds " << remaining);
+  std::vector<double> data(elements);
   for (double& v : data) {
     const std::uint64_t bits = read_u64(in);
     std::memcpy(&v, &bits, 8);

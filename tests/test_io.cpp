@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -72,6 +73,40 @@ TEST(TensorIo, TruncatedPayloadThrows) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(content.data(), static_cast<std::streamsize>(content.size() / 2));
   }
+  EXPECT_THROW(nn::load_tensor(path), Error);
+  std::remove(path.c_str());
+}
+
+/// A PCNT file with the given header dimensions followed by `values`
+/// zero-valued doubles.
+std::string write_raw_tensor(const std::string& name,
+                             std::initializer_list<std::uint64_t> dims,
+                             std::size_t values) {
+  const std::string path = tmp_path(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.put(static_cast<char>(v >> (8 * i)));
+  };
+  out.write("PCNT", 4);
+  u64(1); // version
+  for (const std::uint64_t d : dims) u64(d);
+  for (std::size_t i = 0; i < values; ++i) u64(0);
+  return path;
+}
+
+TEST(TensorIo, WrappingShapeProductThrows) {
+  // (2^62 + 1) * 4 wraps to 4 mod 2^64, matching the four stored values.
+  const std::string path = write_raw_tensor(
+      "wrap.pcnt", {(std::uint64_t{1} << 62) + 1, 4, 1, 1}, 4);
+  EXPECT_THROW(nn::load_tensor(path), Error);
+  std::remove(path.c_str());
+}
+
+TEST(TensorIo, ShapeLargerThanTheFileThrows) {
+  // A plausible shape of 2^30 values over a file holding four: rejected
+  // before the 8 GiB allocation.
+  const std::string path =
+      write_raw_tensor("oversize.pcnt", {1, 1, 1u << 15, 1u << 15}, 4);
   EXPECT_THROW(nn::load_tensor(path), Error);
   std::remove(path.c_str());
 }
