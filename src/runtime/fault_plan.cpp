@@ -59,6 +59,26 @@ void validate_fault_schedule(const FaultSchedule& faults) {
   }
 }
 
+void validate_fault_options(const FaultOptions& faults, std::size_t num_pcus) {
+  validate_fault_schedule(faults.schedule);
+  for (std::size_t i = 0; i < faults.schedule.size(); ++i) {
+    PCNNA_CHECK_MSG(faults.schedule[i].pcu < num_pcus,
+                    "FaultOptions::schedule[" << i << "].pcu is "
+                                              << faults.schedule[i].pcu
+                                              << " but the fleet has "
+                                              << num_pcus << " PCUs");
+  }
+  const auto check = [](double value, double min, const char* field) {
+    PCNNA_CHECK_MSG(std::isfinite(value) && value >= min,
+                    "FaultOptions::" << field << " must be finite and >= "
+                                     << min << ", got " << value);
+  };
+  check(faults.detection_latency, 0.0, "detection_latency");
+  check(faults.repair_time, 0.0, "repair_time");
+  check(faults.retry.backoff_base, 0.0, "retry.backoff_base");
+  check(faults.retry.backoff_factor, 1.0, "retry.backoff_factor");
+}
+
 FaultSchedule poisson_faults(std::size_t num_pcus, const FaultModel& model,
                              std::uint64_t seed) {
   FaultSchedule faults;

@@ -81,8 +81,8 @@ using FaultSchedule = std::vector<FaultEvent>;
 
 /// Throw pcnna::Error unless `faults` is sorted by time with finite
 /// nonnegative timestamps and severities >= 1. PCU indices are validated
-/// against the fleet size by simulate_admission (a schedule is fleet-size
-/// agnostic until it meets a pool).
+/// against the fleet size by validate_fault_options (a schedule is
+/// fleet-size agnostic until it meets a pool).
 void validate_fault_schedule(const FaultSchedule& faults);
 
 /// Knobs of the seeded Poisson fault generator (poisson_faults).
@@ -179,6 +179,14 @@ struct FaultOptions {
 
   bool enabled() const { return !schedule.empty(); }
 };
+
+/// Throw pcnna::Error naming the offending field unless `faults` can run on
+/// a fleet of `num_pcus` PCUs: a valid schedule (validate_fault_schedule)
+/// whose events target PCUs below num_pcus, finite nonnegative
+/// detection_latency, repair_time and retry.backoff_base, and a finite
+/// retry.backoff_factor >= 1. simulate_admission calls it on every run with
+/// a non-empty schedule.
+void validate_fault_options(const FaultOptions& faults, std::size_t num_pcus);
 
 /// Health of one PCU as tracked by the admission loop.
 enum class HealthState : std::uint8_t {

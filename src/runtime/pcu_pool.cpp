@@ -219,6 +219,8 @@ struct PendingRequest {
 inline constexpr std::uint32_t kNoModel =
     std::numeric_limits<std::uint32_t>::max();
 
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// Dispatch order of the pending set. Under kEdf: strict PriorityClass
 /// precedence, then earliest absolute deadline (class-partitioned EDF —
 /// a near-expiry best-effort request must not overtake fresh interactive
@@ -250,12 +252,11 @@ struct RetryOrder {
   }
 };
 
-/// The attempt currently occupying one PCU in virtual time — the fault
-/// machinery's answer to "who dies if this PCU fails right now".
-struct Inflight {
-  bool valid = false;
+/// A dispatched attempt that may still be running — the fault machinery's
+/// answer to "who dies if this PCU fails right now". Its schedule entry
+/// holds its spans: one PCU, or one per pipeline stage.
+struct InFlight {
   std::size_t sched_index = 0; ///< index into the uncompacted schedule
-  double completion = 0.0;
   PendingRequest req;
 };
 
@@ -267,6 +268,1028 @@ enum class TimerKind : unsigned char {
   kDetectDegrade, ///< drift noticed: enter quarantine, schedule the repair
   kRepairDone,    ///< quarantine repair complete: rejoin healthy
 };
+
+/// A pick function's verdict on one pending request: dispatch it to `pcu`
+/// (through pipeline group `group`, whose chain AdmissionState::chain
+/// holds, when group != kNone), or defer it while others get their turn.
+struct Decision {
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::size_t pcu = kNone; ///< kNone: defer
+  std::size_t group = kNone;
+};
+
+/// Whether a fault of `kind` on PCU p at time t reaches attempt s. A
+/// transient corrupts the span on p that covers t; a crash kills every span
+/// on p not yet complete at t, future pipeline spans included (their
+/// activation would arrive at a dead PCU).
+bool reaches(const ScheduledService& s, std::size_t p, FaultKind kind,
+             double t) {
+  const auto hit = [&](std::size_t q, double start, double end) {
+    return q == p && end > t && (kind == FaultKind::kCrash || start <= t);
+  };
+  if (s.stages.empty()) return hit(s.pcu, s.start, s.completion);
+  return std::any_of(s.stages.begin(), s.stages.end(),
+                     [&](const StageService& st) {
+                       return hit(st.pcu, st.start, st.completion);
+                     });
+}
+
+/// Everything one admission run knows: the per-PCU state, the free-PCU
+/// index, the pending and retry sets, the fault cursor and the result.
+/// PcuPool::run_admission drives it; each scheduling step is one member.
+struct AdmissionState {
+  AdmissionState(const PcuPool& pool, const std::vector<Pcu>& pcus,
+                 const std::vector<std::size_t>& min_split_passes,
+                 const std::vector<PipelineGroup>& built_groups,
+                 const std::vector<InferenceRequest>& requests,
+                 const AdmissionOptions& options);
+
+  const PcuPool& pool;
+  const std::vector<Pcu>& pcus;
+  const std::vector<std::size_t>& min_split_passes;
+  const std::vector<InferenceRequest>& requests;
+  const AdmissionOptions& options;
+  const FaultOptions& faults;
+  const AutoscalerPolicy& scaler;
+  const DispatchPolicy policy;
+  const bool double_buffer;
+  // fault_active == false is the contract that every path is bit-identical
+  // to a run without fault machinery: all fault state stays inert.
+  const bool fault_active;
+  const bool pipelined;
+  // FIFO policies without shedding, autoscaler or faults commit each
+  // request at its arrival: their scores depend only on the deterministic
+  // per-PCU free times, so a later arrival can never change an earlier
+  // commitment. Everything else defers commitments to the moment a PCU
+  // frees: EDF lets a later tighter-deadline arrival overtake, shedding is
+  // decided at the would-start moment, the autoscaler changes the eligible
+  // set over time, model affinity may hold a request for a busy PCU
+  // programmed with its model, and faults change PCU health mid-run.
+  const bool deferred;
+  // kEarliestFree scores a PCU by its free time alone. Every other FIFO
+  // score charges the warmup an idle gap drains, so the index must rank
+  // PCUs that freed before `now` from `now` (advance_to keeps it there).
+  const bool rank_idle_from_now;
+  // Opt-in, read-only hooks: the schedule is bitwise identical with or
+  // without them (pinned by the telemetry property tests).
+  Telemetry* const telemetry;
+  std::size_t max_active = 0;
+  std::size_t min_active = 0;
+
+  AdmissionResult result;
+
+  // --- per PCU ---
+  std::vector<double> free_at;
+  std::vector<std::size_t> served;
+  /// Which model's weights sit in the banks; a dispatch that switches it
+  /// pays the swap.
+  std::vector<std::uint32_t> programmed;
+  /// Autoscaler state: without it every PCU is active and force_cold never
+  /// fires.
+  std::vector<unsigned char> active;
+  std::vector<unsigned char> force_cold;
+  std::vector<double> activated_at;
+  std::size_t active_count = 0;
+  /// Health state (inert without faults). `excluded`: pulled from
+  /// dispatch — quarantined, or failed once detection fires.
+  std::vector<HealthState> health;
+  std::vector<double> degrade_mult;
+  std::vector<unsigned char> excluded;
+  std::vector<double> health_since;
+  std::vector<TimerKind> timer_kind;
+  std::vector<double> timer_at;
+
+  // --- pipelines (kPipeline only) ---
+  /// A copy of the built groups: re-placement mutates stages mid-run, and
+  /// a run must stay a pure function of the pool's built state.
+  std::vector<PipelineGroup> groups;
+  /// reserved[p]: p belongs to a group — never a fallback target and never
+  /// parked by the autoscaler. All zero unless pipelined.
+  std::vector<unsigned char> reserved;
+  /// pinned[g][j]: stage j of group g has paid its one-time pin. Reset on
+  /// re-placement: new stage ranges mean freshly reprogrammed banks.
+  std::vector<std::vector<unsigned char>> pinned;
+  /// The member subset each group is currently placed over.
+  std::vector<std::vector<std::size_t>> last_healthy;
+  /// Stage spans of the pipelined Decision being made.
+  std::vector<StageService> chain;
+
+  // --- faults (see fault_plan.hpp) ---
+  /// Attempts that may still be running, in dispatch order; entries that
+  /// completed by `now` or were destroyed are dropped before each scan.
+  std::vector<InFlight> inflight;
+  /// Tombstones parallel to result.schedule (only with faults): destroyed
+  /// attempts stay in place until the final stable compaction.
+  std::vector<unsigned char> cancelled;
+  std::set<RetryEntry, RetryOrder> retries;
+  std::size_t fault_cursor = 0;
+
+  // --- free-PCU index (free_time_index.hpp) ---
+  //
+  // Every search for a free PCU goes through `index`: the FIFO pick, the
+  // next dispatch instant, and the next PCU-free event. A tier groups the
+  // PCUs that blind_service prices alike — same per-model interval, warmup,
+  // serial time and split passes (hence capability), same warmup policy,
+  // same degrade multiplier — so a fault that changes a PCU's multiplier
+  // moves it to another tier. A PCU is listed while it is active, not
+  // pulled from dispatch, and capable of some registered model.
+  /// device[p]: the first PCU priced like p, standing in for all of them
+  /// in capability tests.
+  std::vector<std::size_t> device;
+  std::vector<unsigned char> serves_any;
+  /// Tier k: the PCUs of device tier_device[k] at multiplier tier_mult[k].
+  std::vector<std::size_t> tier_device;
+  std::vector<double> tier_mult;
+  FreeTimeIndex index;
+
+  // --- requests and clock ---
+  /// Arrived requests awaiting a deferred commitment, in urgency order
+  /// (kModelAffinity and kPipeline reuse EDF's: without SLO metadata it
+  /// degenerates to FIFO).
+  std::set<PendingRequest, UrgencyOrder> pending;
+  /// The next request not yet admitted.
+  std::size_t cursor = 0;
+  double now = 0.0;
+  double last_event = 0.0;
+  double active_integral = 0.0; ///< ∫ active_count dt for mean_active
+
+  // --- service pricing ---
+
+  /// Pipeline-fill charge for dispatching model m to PCU p at `start`, per
+  /// its warmup policy. Zero on the serial schedule: without double
+  /// buffering every layer pays its recalibration inline. A PCU the
+  /// autoscaler just (re)activated is cold regardless of policy.
+  double warmup_charge(std::size_t p, std::uint32_t m, double start) const {
+    if (!double_buffer) return 0.0;
+    bool cold = true;
+    switch (pcus[p].warmup_policy()) {
+      case WarmupPolicy::kRechargeAfterIdle:
+        // An idle gap drains the double-buffer pipeline; within a
+        // back-to-back streak only the steady-state interval is charged.
+        // start == free_at[p] is back-to-back — strictly greater-than, or
+        // a request landing exactly when the PCU frees is double-charged.
+        cold = served[p] == 0 || start > free_at[p];
+        break;
+      case WarmupPolicy::kPinnedAfterFirst:
+        cold = served[p] == 0;
+        break;
+      case WarmupPolicy::kAlwaysCold:
+        cold = true;
+        break;
+    }
+    return (cold || force_cold[p]) ? pcus[p].warmup_time(m) : 0.0;
+  }
+
+  /// Dispatching model m to PCU p would reprogram its banks from a
+  /// *different* model — the swap event. Only on the double-buffered
+  /// schedule (serial requests reprogram inline), never on a PCU's first
+  /// programming.
+  bool would_swap(std::size_t p, std::uint32_t m) const {
+    return double_buffer && programmed[p] != kNoModel && programmed[p] != m;
+  }
+
+  /// Calibration-drift inflation: a degraded PCU's whole service span is
+  /// stretched by its worst unrepaired severity (1.0 without faults).
+  double degrade_factor(std::size_t p) const {
+    return fault_active ? degrade_mult[p] : 1.0;
+  }
+
+  /// The one service formula: a model-m span on PCU p whose pipeline fill
+  /// (warmup or swap) is `fill`; the serial schedule ignores the fill.
+  double service(std::size_t p, std::uint32_t m, double fill) const {
+    return (double_buffer ? pcus[p].request_interval_overlapped(m) + fill
+                          : pcus[p].request_time_serial(m)) *
+           degrade_factor(p);
+  }
+
+  /// Truthful span, swap included: what dispatch charges. Used for shed
+  /// decisions and kModelAffinity's scoring.
+  double true_service(std::size_t p, std::uint32_t m, double start) const {
+    return service(p, m,
+                   would_swap(p, m) ? pcus[p].swap_time(m)
+                                    : warmup_charge(p, m, start));
+  }
+
+  /// Model-blind span: the FIFO policies' score, which deliberately ignores
+  /// the swap — least-loaded is a load balancer, not a placement policy,
+  /// and that blindness is what kModelAffinity fixes (and what the
+  /// multi-model bench measures). Equals true_service on one model.
+  double blind_service(std::size_t p, std::uint32_t m, double start) const {
+    return service(p, m, warmup_charge(p, m, start));
+  }
+
+  // --- eligibility ---
+
+  /// Under kCapabilityAware and kModelAffinity a PCU must map model m with
+  /// the fleet-minimum number of segmented bank passes.
+  bool capable(std::size_t p, std::uint32_t m) const {
+    if (policy != DispatchPolicy::kCapabilityAware &&
+        policy != DispatchPolicy::kModelAffinity)
+      return true;
+    return pcus[p].channel_split_passes(m) == min_split_passes[m];
+  }
+
+  /// Health-aware capability downgrade: under the capability-sensitive
+  /// policies a degraded PCU no longer meets the bar — unless no healthy
+  /// capable PCU is dispatchable for model m, when degraded beats none.
+  bool allow_degraded(std::uint32_t m) const {
+    if (!fault_active || (policy != DispatchPolicy::kCapabilityAware &&
+                          policy != DispatchPolicy::kModelAffinity))
+      return true;
+    for (std::size_t p = 0; p < pcus.size(); ++p) {
+      if (active[p] && !excluded[p] && capable(p, m) &&
+          health[p] == HealthState::kHealthy)
+        return false;
+    }
+    return true;
+  }
+
+  /// Dispatch eligibility of PCU p for a model-m request; exactly active
+  /// && capable without faults.
+  bool eligible(std::size_t p, std::uint32_t m, bool degraded_ok) const {
+    if (!active[p] || !capable(p, m)) return false;
+    if (!fault_active) return true;
+    if (excluded[p]) return false;
+    return degraded_ok || health[p] != HealthState::kDegraded;
+  }
+
+  // --- free-PCU index ---
+
+  std::size_t tier_of(std::size_t p) {
+    std::size_t k = 0;
+    while (k < tier_device.size() &&
+           (tier_device[k] != device[p] || tier_mult[k] != degrade_mult[p]))
+      ++k;
+    if (k == tier_device.size()) {
+      tier_device.push_back(device[p]);
+      tier_mult.push_back(degrade_mult[p]);
+    }
+    return k;
+  }
+
+  /// The one write into the index: every change to a PCU's free time,
+  /// served count, forced-cold flag, degrade multiplier or dispatch
+  /// eligibility is followed by reindex(p).
+  void reindex(std::size_t p) {
+    const WarmupPolicy warmup = pcus[p].warmup_policy();
+    // Mirrors warmup_charge: a served PCU not forced cold starts warm at
+    // its free time; only kPinnedAfterFirst stays warm across an idle gap.
+    const bool warm = double_buffer && served[p] > 0 && !force_cold[p] &&
+                      warmup != WarmupPolicy::kAlwaysCold;
+    index.update(p, {tier_of(p), free_at[p], warm,
+                     warm && warmup == WarmupPolicy::kPinnedAfterFirst,
+                     active[p] && !excluded[p] && serves_any[p] != 0});
+  }
+
+  /// FIFO-policy choice for a model-m request at time t among the PCUs
+  /// `elig` admits: kEarliestFree takes the longest-free PCU, the others
+  /// the earliest predicted (model-blind) completion; ties go to the lowest
+  /// index. Deferred, only PCUs already free at t compete; a commit at
+  /// arrival also weighs busy PCUs, starting when they free. pcus.size()
+  /// when none qualifies.
+  template <class Eligible>
+  std::size_t pick_fifo(std::uint32_t m, double t, const Eligible& elig) const {
+    return index.pick(
+        t, /*busy_ok=*/!deferred,
+        [&](std::size_t tier) { return capable(tier_device[tier], m); },
+        [&](std::size_t p) {
+          const double start = std::max(t, free_at[p]);
+          return policy == DispatchPolicy::kEarliestFree
+                     ? free_at[p]
+                     : start + blind_service(p, m, start);
+        },
+        elig);
+  }
+
+  // --- the three pick functions ---
+
+  /// Defer a request no free PCU can take. Without faults some active PCU
+  /// must be able to take it later, or admission could never finish.
+  Decision defer_unserved(std::uint32_t m) const {
+    if (!fault_active) {
+      bool any = false;
+      for (std::size_t p = 0; p < pcus.size(); ++p)
+        any = any || (active[p] && !reserved[p] && capable(p, m));
+      PCNNA_CHECK_MSG(any, "no active PCU capable of model "
+                               << m << " (every capable PCU is parked or "
+                                       "reserved by a pipeline group)");
+    }
+    return {};
+  }
+
+  /// FIFO policies (kEdf included) and kPipeline's fallback: the best free
+  /// eligible PCU outside every pipeline group.
+  Decision pick_free(const PendingRequest& r) const {
+    const bool degraded_ok = allow_degraded(r.model);
+    const std::size_t p = pick_fifo(r.model, now, [&](std::size_t q) {
+      return !reserved[q] && eligible(q, r.model, degraded_ok);
+    });
+    return p < pcus.size() ? Decision{p} : defer_unserved(r.model);
+  }
+
+  /// kModelAffinity: a free PCU already programmed with r.model wins on
+  /// earliest truthful completion (no swap by construction). Failing that,
+  /// r waits for the soonest busy affine PCU — its free time plus a warm
+  /// interval — when that both meets the deadline and is no later than
+  /// swapping onto the best free PCU now; otherwise it swaps.
+  Decision pick_affinity(const PendingRequest& r) const {
+    const bool degraded_ok = allow_degraded(r.model);
+    std::size_t affine = pcus.size();
+    std::size_t best = pcus.size();
+    double affine_score = kInf;
+    double best_score = kInf;
+    double affine_busy = kInf;
+    for (std::size_t p = 0; p < pcus.size(); ++p) {
+      if (!eligible(p, r.model, degraded_ok)) continue;
+      if (free_at[p] > now) {
+        if (programmed[p] == r.model)
+          affine_busy = std::min(
+              affine_busy, free_at[p] + pcus[p].request_interval_overlapped(
+                                            r.model) *
+                                            degrade_factor(p));
+        continue;
+      }
+      const double score = now + true_service(p, r.model, now);
+      if (programmed[p] == r.model && score < affine_score) {
+        affine_score = score;
+        affine = p;
+      }
+      if (score < best_score) {
+        best_score = score;
+        best = p;
+      }
+    }
+    if (affine < pcus.size()) return {affine};
+    if (std::isfinite(affine_busy) && affine_busy <= r.deadline &&
+        affine_busy <= best_score)
+      return {}; // hold out for the busy affine PCU
+    return best < pcus.size() ? Decision{best} : defer_unserved(r.model);
+  }
+
+  /// The group serving model m with at least one placed stage, or
+  /// groups.size().
+  std::size_t live_group(std::uint32_t m) const {
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      if (groups[g].model == m) return groups[g].stages.empty() ? groups.size() : g;
+    return groups.size();
+  }
+
+  /// kPipeline: route r to its model's group as soon as the head PCU is
+  /// free, chaining the stage spans into `chain`: stage j starts once the
+  /// previous stage's activation has crossed the link AND its PCU is free
+  /// (busy with image i-1 of the same stream). A model without a live
+  /// group falls back to pick_free over the unreserved fleet.
+  Decision pick_pipeline(const PendingRequest& r) {
+    const std::size_t gi = live_group(r.model);
+    if (gi == groups.size()) return pick_free(r);
+    const PipelineGroup& g = groups[gi];
+    if (free_at[g.stages.front().pcu] > now) return {};
+    chain.clear();
+    double prev = now;
+    for (std::size_t j = 0; j < g.stages.size(); ++j) {
+      const PipelineStage& st = g.stages[j];
+      const double handoff = j == 0 ? 0.0 : g.handoff_time;
+      const double start = std::max(prev + handoff, free_at[st.pcu]);
+      // The pin (the range's first-layer recalibration) is paid once per
+      // placement; afterwards the stage's banks never change.
+      const double pin =
+          (pinned[gi][j] ? 0.0 : st.timings.pin) * degrade_factor(st.pcu);
+      const double span = st.timings.interval * degrade_factor(st.pcu) + pin;
+      chain.push_back({j, st.pcu, st.op_begin, st.op_end, start,
+                       start + span, pin, handoff});
+      prev = start + span;
+    }
+    return {g.stages.front().pcu, gi};
+  }
+
+  // --- commit, shed, loss ---
+
+  /// PCU p serves a model-m span until `completion`.
+  void occupy(std::size_t p, std::uint32_t m, double completion) {
+    free_at[p] = completion;
+    served[p] += 1;
+    force_cold[p] = 0;
+    programmed[p] = m;
+    reindex(p);
+  }
+
+  /// Append a dispatched attempt whose PCUs are already occupied. With
+  /// faults it is tracked in flight — or, when it runs on a failed PCU the
+  /// dispatcher has not noticed (fault-blind, or inside the detection
+  /// window), lost at once: the dispatcher learns only at the predicted
+  /// completion that it never came back.
+  void commit(const PendingRequest& r, ScheduledService&& entry) {
+    result.schedule.push_back(std::move(entry));
+    const ScheduledService& s = result.schedule.back();
+    if (telemetry) telemetry->on_dispatch(s.swapped, !s.stages.empty());
+    if (!fault_active) return;
+    const std::size_t idx = result.schedule.size() - 1;
+    cancelled.push_back(0);
+    std::size_t dead = s.pcu;
+    for (const StageService& st : s.stages) {
+      dead = st.pcu;
+      if (health[dead] == HealthState::kFailed) break;
+    }
+    if (health[dead] == HealthState::kFailed) {
+      lose_attempt(r, idx, dead, FaultKind::kCrash, s.completion,
+                   s.completion);
+    } else {
+      inflight.push_back({idx, r});
+    }
+  }
+
+  /// Dispatch r to PCU p at `start`, charging the swap or the warmup per
+  /// the programmed state.
+  void dispatch(const PendingRequest& r, std::size_t p, double start) {
+    const bool swapped = would_swap(p, r.model);
+    const double swap = swapped ? pcus[p].swap_time(r.model) : 0.0;
+    const double warmup = swapped ? 0.0 : warmup_charge(p, r.model, start);
+    const double completion = start + service(p, r.model, swap + warmup);
+    occupy(p, r.model, completion);
+    commit(r, {r.id, p, r.arrival, start, completion, warmup, r.tenant,
+               r.priority, r.deadline, r.model, swap, swapped, r.attempts,
+               {}});
+  }
+
+  /// Dispatch r through group gi along `chain`: every stage PCU occupied,
+  /// every stage pinned.
+  void dispatch_chain(const PendingRequest& r, std::size_t gi) {
+    ScheduledService entry;
+    double handoff = 0.0;
+    for (std::size_t j = 0; j < chain.size(); ++j) {
+      occupy(chain[j].pcu, r.model, chain[j].completion);
+      pinned[gi][j] = 1;
+      entry.warmup += chain[j].pin;
+      handoff += chain[j].handoff;
+    }
+    entry.id = r.id;
+    entry.pcu = chain.front().pcu;
+    entry.arrival = r.arrival;
+    entry.start = chain.front().start;
+    entry.completion = chain.back().completion;
+    entry.tenant = r.tenant;
+    entry.priority = r.priority;
+    entry.deadline = r.deadline;
+    entry.model = r.model;
+    entry.attempts = r.attempts;
+    entry.stages = std::move(chain);
+    result.pipeline.pipelined_requests += 1;
+    result.pipeline.stage_spans += entry.stages.size();
+    result.pipeline.pin_time += entry.warmup;
+    result.pipeline.handoff_time += handoff;
+    commit(r, std::move(entry));
+  }
+
+  /// Reject r now: its predicted completion blows its deadline.
+  void shed(const PendingRequest& r) {
+    result.shed.shed += 1;
+    result.shed.per_tenant[r.tenant] += 1;
+    result.shed.decisions.push_back(
+        {r.id, r.tenant, r.priority, r.arrival, r.deadline, now});
+  }
+
+  void record_loss(const PendingRequest& r, double t, std::uint32_t attempts) {
+    result.fault.lost_requests += 1;
+    result.fault.losses.push_back(
+        {r.id, r.tenant, r.priority, r.arrival, t, attempts});
+  }
+
+  /// Fastest base service any PCU offers for model m — the bound behind
+  /// deadline-aware backoff.
+  double fleet_min_service(std::uint32_t m) const {
+    double best = kInf;
+    for (const Pcu& pcu : pcus) {
+      best = std::min(best, double_buffer ? pcu.request_interval_overlapped(m)
+                                          : pcu.request_time_serial(m));
+    }
+    return best;
+  }
+
+  /// A destroyed attempt of `req` was detected at `detect`: re-enqueue it
+  /// with exponential backoff if the budget allows, else record the
+  /// permanent loss. The backoff is capped so the retry could still start
+  /// early enough to meet a finite deadline on the fastest PCU.
+  void schedule_retry(const PendingRequest& req, double detect) {
+    if (!faults.health_aware || req.attempts > faults.retry.max_retries) {
+      record_loss(req, detect, req.attempts);
+      return;
+    }
+    double delay = faults.retry.backoff_base;
+    for (std::uint32_t k = 1; k < req.attempts; ++k)
+      delay *= faults.retry.backoff_factor;
+    double ready = detect + delay;
+    if (std::isfinite(req.deadline)) {
+      ready = std::max(
+          detect, std::min(ready, req.deadline - fleet_min_service(req.model)));
+    }
+    PendingRequest next = req;
+    next.attempts += 1;
+    retries.insert({ready, next});
+    result.fault.retries += 1;
+  }
+
+  /// Destroy one dispatched attempt: tombstone its schedule entry, record
+  /// it, and route the request into retry (or permanent loss). `end` is
+  /// when the PCU time was wasted until; `detect` when the loss is known.
+  void lose_attempt(const PendingRequest& req, std::size_t sched_index,
+                    std::size_t p, FaultKind kind, double end, double detect) {
+    cancelled[sched_index] = 1;
+    const double start = result.schedule[sched_index].start;
+    result.fault.attempts.push_back({req.id, p, start, end, kind, req.attempts});
+    result.fault.per_pcu[p].lost_attempts += 1;
+    result.fault.per_pcu[p].lost_time += end - start;
+    if (kind == FaultKind::kCrash) {
+      result.fault.crash_losses += 1;
+    } else {
+      result.fault.transient_corruptions += 1;
+    }
+    schedule_retry(req, detect);
+  }
+
+  /// Everything still waiting is permanently lost: the fleet died (or
+  /// stayed incapable) and no future event can change that.
+  void drain_all_lost() {
+    for (const PendingRequest& r : pending) record_loss(r, now, r.attempts - 1);
+    for (const RetryEntry& e : retries)
+      record_loss(e.req, now, e.req.attempts - 1);
+    pending.clear();
+    retries.clear();
+  }
+
+  // --- health ---
+
+  /// Close the current health-state dwell bucket of PCU p at time t.
+  void close_health(std::size_t p, double t) {
+    const double dt = t - health_since[p];
+    if (dt <= 0.0) return;
+    PcuHealthStats& hs = result.fault.per_pcu[p];
+    switch (health[p]) {
+      case HealthState::kHealthy: hs.healthy_time += dt; break;
+      case HealthState::kDegraded: hs.degraded_time += dt; break;
+      case HealthState::kQuarantined: hs.quarantined_time += dt; break;
+      case HealthState::kFailed: hs.failed_time += dt; break;
+    }
+    health_since[p] = t;
+  }
+
+  void set_timer(std::size_t p, TimerKind kind, double at) {
+    timer_kind[p] = kind;
+    timer_at[p] = at;
+  }
+
+  /// Move PCU p into `state` at time t.
+  void set_health(std::size_t p, HealthState state, double t) {
+    close_health(p, t);
+    health[p] = state;
+  }
+
+  /// PCU p rejoins healthy at t — a quarantine repair completing, or an
+  /// external kRecover — with freshly re-trimmed, unprogrammed banks: the
+  /// next dispatch recalibrates from cold, and every calibration artifact
+  /// planned for its configuration goes stale.
+  void rejoin(std::size_t p, double t) {
+    set_health(p, HealthState::kHealthy, t);
+    excluded[p] = 0;
+    degrade_mult[p] = 1.0;
+    programmed[p] = kNoModel;
+    force_cold[p] = 1;
+    free_at[p] = std::max(free_at[p], t);
+    reindex(p);
+    set_timer(p, TimerKind::kNone, kInf);
+    result.fault.repairs += 1;
+    result.fault.per_pcu[p].repairs += 1;
+    if (faults.plan_cache != nullptr) {
+      faults.plan_cache->bump_epoch(
+          core::plan_config_key(pcus[p].config(), pcus[p].fidelity()));
+      result.fault.plan_epoch_bumps += 1;
+    }
+  }
+
+  /// Fire the pending health timer of PCU p at its due time t.
+  void fire_timer(std::size_t p, double t) {
+    const TimerKind kind = timer_kind[p];
+    set_timer(p, TimerKind::kNone, kInf);
+    switch (kind) {
+      case TimerKind::kNone:
+        return;
+      case TimerKind::kDetectCrash:
+        // The crash is noticed: pull the dead PCU from dispatch. (A
+        // recovery before detection clears this timer.)
+        if (health[p] == HealthState::kFailed) {
+          excluded[p] = 1;
+          reindex(p);
+        }
+        return;
+      case TimerKind::kDetectDegrade: {
+        if (health[p] != HealthState::kDegraded) return;
+        // Quarantine: out of dispatch, drain the in-flight request, then
+        // pay the full repair recalibration (fixed repair time plus the
+        // full serial reprogram of whatever model is in the banks).
+        set_health(p, HealthState::kQuarantined, t);
+        excluded[p] = 1;
+        result.fault.quarantines += 1;
+        result.fault.per_pcu[p].quarantines += 1;
+        const std::uint32_t m = programmed[p] == kNoModel ? 0u : programmed[p];
+        const double repair_start = std::max(t, free_at[p]);
+        const double repair_end =
+            repair_start + faults.repair_time + pcus[p].swap_time(m);
+        result.fault.repair_time += repair_end - repair_start;
+        free_at[p] = std::max(free_at[p], repair_end);
+        reindex(p);
+        set_timer(p, TimerKind::kRepairDone, repair_end);
+        return;
+      }
+      case TimerKind::kRepairDone:
+        rejoin(p, t);
+        return;
+    }
+    throw Error("invalid TimerKind");
+  }
+
+  /// Destroy every live attempt a `kind` fault on PCU p at t reaches. A
+  /// corruption surfaces when the attempt completes (a pipelined one at
+  /// its final stage); a crash loss is noticed after the detection latency.
+  void strike(std::size_t p, FaultKind kind, double t) {
+    prune_inflight();
+    for (const InFlight& f : inflight) {
+      const ScheduledService& s = result.schedule[f.sched_index];
+      if (cancelled[f.sched_index] || !reaches(s, p, kind, t)) continue;
+      if (kind == FaultKind::kCrash) {
+        lose_attempt(f.req, f.sched_index, p, kind, t,
+                     t + faults.detection_latency);
+      } else {
+        lose_attempt(f.req, f.sched_index, p, kind, s.completion,
+                     s.completion);
+      }
+    }
+  }
+
+  /// Apply one FaultEvent at its timestamp.
+  void apply_fault(const FaultEvent& e) {
+    result.fault.injections += 1;
+    const std::size_t p = e.pcu;
+    PcuHealthStats& stats = result.fault.per_pcu[p];
+    switch (e.kind) {
+      case FaultKind::kTransient:
+        stats.transients += 1;
+        if (health[p] != HealthState::kFailed) strike(p, e.kind, e.time);
+        return;
+      case FaultKind::kDegrade:
+        if (health[p] == HealthState::kFailed) return; // dead already
+        stats.degrades += 1;
+        degrade_mult[p] = std::max(degrade_mult[p], e.severity);
+        reindex(p);
+        if (health[p] == HealthState::kHealthy)
+          set_health(p, HealthState::kDegraded, e.time);
+        // A quarantined PCU is being repaired anyway; an earlier pending
+        // detection keeps its (earlier) due time.
+        if (faults.health_aware && health[p] == HealthState::kDegraded &&
+            timer_kind[p] == TimerKind::kNone)
+          set_timer(p, TimerKind::kDetectDegrade,
+                    e.time + faults.detection_latency);
+        return;
+      case FaultKind::kCrash:
+        stats.crashes += 1;
+        if (health[p] == HealthState::kFailed) return; // dead already
+        set_health(p, HealthState::kFailed, e.time);
+        // A crash supersedes any pending detection and aborts a repair in
+        // progress (no repair counted, no epoch bump: the banks were never
+        // re-trimmed).
+        set_timer(p, faults.health_aware ? TimerKind::kDetectCrash
+                                         : TimerKind::kNone,
+                  faults.health_aware ? e.time + faults.detection_latency
+                                      : kInf);
+        strike(p, e.kind, e.time);
+        return;
+      case FaultKind::kRecover:
+        // External repair: a mid-quarantine recover completes the repair
+        // early; a recover on a healthy PCU is an external re-trim. Both
+        // count as a repair and bump the epoch.
+        rejoin(p, e.time);
+        return;
+    }
+    throw Error("invalid FaultKind");
+  }
+
+  /// Re-place every pipeline group whose healthy member set changed. Pure
+  /// function of the surviving members, so deterministic; pins reset.
+  void refresh_pipelines() {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      std::vector<std::size_t> healthy_members;
+      for (std::size_t p : groups[g].members)
+        if (!excluded[p]) healthy_members.push_back(p);
+      if (healthy_members == last_healthy[g]) continue;
+      last_healthy[g] = healthy_members;
+      pool.place_pipeline(groups[g], healthy_members);
+      pinned[g].assign(groups[g].stages.size(), 0);
+      result.pipeline.replacements += 1;
+    }
+  }
+
+  // --- events and the clock ---
+
+  double next_arrival() const {
+    return cursor < requests.size() ? requests[cursor].arrival_time : kInf;
+  }
+
+  /// Earliest pending health timer and its PCU (ties: lowest index).
+  std::pair<double, std::size_t> next_timer() const {
+    const auto it = std::min_element(timer_at.begin(), timer_at.end());
+    return {*it, static_cast<std::size_t>(it - timer_at.begin())};
+  }
+
+  double next_fault_time() const {
+    return fault_cursor < faults.schedule.size()
+               ? faults.schedule[fault_cursor].time
+               : kInf;
+  }
+
+  /// Drop (stably) the attempts that completed by `now` or were
+  /// destroyed. Bit-safe: every health event still to come is later than
+  /// `now`, and a fault reaches only an attempt completing after it.
+  void prune_inflight() {
+    std::erase_if(inflight, [&](const InFlight& f) {
+      return cancelled[f.sched_index] ||
+             result.schedule[f.sched_index].completion <= now;
+    });
+  }
+
+  /// Latest completion among attempts still in flight; -inf when none.
+  double in_flight_until() {
+    prune_inflight();
+    double until = -kInf;
+    for (const InFlight& f : inflight)
+      until = std::max(until, result.schedule[f.sched_index].completion);
+    return until;
+  }
+
+  /// The next event that can change the picture: an arrival, a retry whose
+  /// backoff expires, or a health timer or fault event; +inf when none.
+  /// `idle` (nothing pending): a health event counts only while some
+  /// attempt is still in flight for it to strike — later ones are past the
+  /// end of the simulated timeline.
+  double next_event(bool idle = false) {
+    double t = next_arrival();
+    if (!fault_active) return t;
+    if (!retries.empty()) t = std::min(t, retries.begin()->ready);
+    const double health_event =
+        std::min(next_timer().first, next_fault_time());
+    if (!idle || health_event <= in_flight_until())
+      t = std::min(t, health_event);
+    return t;
+  }
+
+  void advance_to(double t) {
+    if (t > last_event) {
+      active_integral += static_cast<double>(active_count) * (t - last_event);
+      last_event = t;
+    }
+    now = std::max(now, t);
+    if (rank_idle_from_now) index.advance(now);
+  }
+
+  /// Every clock advance of the loop: first each health timer and fault
+  /// event due by t, each at its own timestamp — timers first on exact
+  /// ties, so detection and repair outcomes are visible to a fault striking
+  /// at the same instant — re-placing pipeline groups after each.
+  void step_to(double t) {
+    while (fault_active) {
+      const auto [tt, tp] = next_timer();
+      const double ft = next_fault_time();
+      if (std::min(tt, ft) > t) break;
+      advance_to(std::min(tt, ft));
+      if (tt <= ft) {
+        fire_timer(tp, tt);
+      } else {
+        apply_fault(faults.schedule[fault_cursor++]);
+      }
+      if (pipelined) refresh_pipelines();
+    }
+    advance_to(t);
+  }
+
+  // --- autoscaler ---
+
+  /// Lowest-indexed parked PCU not pulled from dispatch (outside every
+  /// pipeline group with `unreserved`); pcus.size() when there is none.
+  std::size_t first_parked(bool unreserved) const {
+    std::size_t p = 0;
+    while (p < pcus.size() &&
+           (active[p] || excluded[p] || (unreserved && reserved[p])))
+      ++p;
+    return p;
+  }
+
+  /// Activation forces a cold start: the pipeline of a parked PCU has
+  /// drained no matter its WarmupPolicy.
+  void activate(std::size_t p) {
+    active[p] = 1;
+    force_cold[p] = 1;
+    reindex(p);
+    activated_at[p] = now;
+    active_count += 1;
+    result.autoscaler.scale_ups += 1;
+  }
+
+  /// Deactivate PCUs idle at least shrink_after_idle, highest index first,
+  /// never below min_active. A busy PCU has negative idle time; a pipeline
+  /// member is never parked (the whole chain would stall).
+  void shrink_idle() {
+    if (scaler.shrink_after_idle <= 0.0) return;
+    for (std::size_t i = pcus.size(); i-- > 0 && active_count > min_active;) {
+      if (!active[i] || reserved[i]) continue;
+      const double idle_from = std::max(free_at[i], activated_at[i]);
+      if (now - idle_from >= scaler.shrink_after_idle) {
+        active[i] = 0;
+        reindex(i);
+        active_count -= 1;
+        result.autoscaler.scale_downs += 1;
+      }
+    }
+  }
+
+  /// Activate the lowest parked PCU while the pending backlog exceeds the
+  /// per-PCU budget (skipping health-excluded ones). Under kPipeline,
+  /// reserved members inflate active_count but never serve group-less
+  /// models, so when such a request waits and no unreserved PCU is awake,
+  /// one is forced up: the fallback must never starve behind the groups.
+  void grow_on_backlog() {
+    while (active_count < max_active &&
+           static_cast<double>(pending.size()) >
+               scaler.backlog_per_pcu * static_cast<double>(active_count)) {
+      const std::size_t p = first_parked(/*unreserved=*/false);
+      if (p == pcus.size()) break;
+      activate(p);
+    }
+    if (!pipelined || active_count >= max_active) return;
+    const bool groupless_pending =
+        std::any_of(pending.begin(), pending.end(), [&](const auto& r) {
+          return live_group(r.model) == groups.size();
+        });
+    bool unreserved_awake = false;
+    for (std::size_t p = 0; p < pcus.size(); ++p)
+      unreserved_awake =
+          unreserved_awake || (active[p] && !reserved[p] && !excluded[p]);
+    const std::size_t p = first_parked(/*unreserved=*/true);
+    if (groupless_pending && !unreserved_awake && p < pcus.size()) activate(p);
+  }
+
+  /// The result once the loop has drained: remaining repairs complete,
+  /// destroyed attempts leave the schedule, and the mean-active integral
+  /// and health dwell buckets close at the makespan.
+  AdmissionResult finish();
+};
+
+AdmissionState::AdmissionState(const PcuPool& pool,
+                               const std::vector<Pcu>& pcus,
+                               const std::vector<std::size_t>& min_split_passes,
+                               const std::vector<PipelineGroup>& built_groups,
+                               const std::vector<InferenceRequest>& requests,
+                               const AdmissionOptions& options)
+    : pool(pool),
+      pcus(pcus),
+      min_split_passes(min_split_passes),
+      requests(requests),
+      options(options),
+      faults(options.faults),
+      scaler(options.autoscaler),
+      policy(options.policy),
+      double_buffer(options.double_buffer),
+      fault_active(options.faults.enabled()),
+      pipelined(options.policy == DispatchPolicy::kPipeline),
+      deferred(policy == DispatchPolicy::kEdf ||
+               policy == DispatchPolicy::kModelAffinity || pipelined ||
+               options.shed_expired || scaler.enabled || fault_active),
+      rank_idle_from_now(policy != DispatchPolicy::kEarliestFree),
+      telemetry(options.telemetry),
+      free_at(pcus.size(), 0.0),
+      served(pcus.size(), 0),
+      programmed(pcus.size(), kNoModel),
+      active(pcus.size(), 0),
+      force_cold(pcus.size(), 0),
+      activated_at(pcus.size(), 0.0),
+      health(pcus.size(), HealthState::kHealthy),
+      degrade_mult(pcus.size(), 1.0),
+      excluded(pcus.size(), 0),
+      health_since(pcus.size(), 0.0),
+      timer_kind(pcus.size(), TimerKind::kNone),
+      timer_at(pcus.size(), kInf),
+      groups(pipelined ? built_groups : std::vector<PipelineGroup>{}),
+      reserved(pcus.size(), 0),
+      pinned(groups.size()),
+      last_healthy(groups.size()),
+      device(pcus.size()),
+      serves_any(pcus.size(), 0),
+      index(pcus.size()),
+      pending(UrgencyOrder{policy == DispatchPolicy::kEdf ||
+                           policy == DispatchPolicy::kModelAffinity ||
+                           pipelined}) {
+  const std::size_t n = pcus.size();
+  max_active = scaler.enabled && scaler.max_active > 0
+                   ? std::min(scaler.max_active, n)
+                   : n;
+  min_active = scaler.enabled ? scaler.min_active : n;
+  if (scaler.enabled) {
+    PCNNA_CHECK_MSG(min_active >= 1 && min_active <= max_active,
+                    "autoscaler needs 1 <= min_active <= max_active, got ["
+                        << min_active << ", " << max_active << "]");
+  }
+  result.schedule.reserve(requests.size());
+  active_count = min_active;
+  std::fill_n(active.begin(), active_count, 1);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    pinned[g].assign(groups[g].stages.size(), 0);
+    last_healthy[g] = groups[g].members;
+    for (std::size_t p : groups[g].members) reserved[p] = 1;
+  }
+  result.pipeline.groups = groups.size();
+  // Pipeline members are statically placed; parking one would stall its
+  // whole group, so they are always active.
+  for (std::size_t p = 0; p < n; ++p) {
+    if (reserved[p] && !active[p]) {
+      active[p] = 1;
+      active_count += 1;
+    }
+  }
+  if (fault_active) result.fault.per_pcu.resize(n);
+
+  // Tiers: PCUs that agree on every constant blind_service reads.
+  const auto same_device = [&](std::size_t p, std::size_t q) {
+    const Pcu& a = pcus[p];
+    const Pcu& b = pcus[q];
+    if (a.warmup_policy() != b.warmup_policy()) return false;
+    for (std::uint32_t m = 0; m < min_split_passes.size(); ++m) {
+      if (a.request_interval_overlapped(m) !=
+              b.request_interval_overlapped(m) ||
+          a.warmup_time(m) != b.warmup_time(m) ||
+          a.request_time_serial(m) != b.request_time_serial(m) ||
+          a.channel_split_passes(m) != b.channel_split_passes(m))
+        return false;
+    }
+    return true;
+  };
+  std::vector<std::size_t> firsts;
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto first =
+        std::find_if(firsts.begin(), firsts.end(),
+                     [&](std::size_t q) { return same_device(p, q); });
+    device[p] = first == firsts.end() ? p : *first;
+    if (device[p] == p) firsts.push_back(p);
+    for (std::uint32_t m = 0; m < min_split_passes.size(); ++m)
+      if (capable(p, m)) serves_any[p] = 1;
+  }
+  for (std::size_t p = 0; p < n; ++p) reindex(p);
+}
+
+AdmissionResult AdmissionState::finish() {
+  if (fault_active) {
+    // Repairs complete even after the last request — fire every remaining
+    // health timer for the availability and repair accounting. (Remaining
+    // fault *events* are past the end of the simulated timeline.)
+    while (true) {
+      const auto [t, p] = next_timer();
+      if (!std::isfinite(t)) break;
+      advance_to(t);
+      fire_timer(p, t);
+    }
+    // Drop destroyed attempts (stable), keeping only the attempt that
+    // actually served each request.
+    std::vector<ScheduledService> kept;
+    kept.reserve(result.schedule.size());
+    for (std::size_t i = 0; i < result.schedule.size(); ++i) {
+      if (!cancelled[i]) kept.push_back(std::move(result.schedule[i]));
+    }
+    result.schedule = std::move(kept);
+    for (const ScheduledService& s : result.schedule) {
+      if (s.attempts > 1) result.fault.recovered_requests += 1;
+    }
+  }
+
+  // Close the mean-active integral at the makespan: the last completion,
+  // destroyed attempts included, or the last event when all were shed.
+  double makespan = last_event;
+  for (const ScheduledService& s : result.schedule)
+    makespan = std::max(makespan, s.completion);
+  for (const FaultedAttempt& a : result.fault.attempts)
+    makespan = std::max(makespan, a.end);
+  advance_to(makespan);
+  // Without the autoscaler the whole pool is active throughout; report it
+  // exactly rather than as a sum of active_count * dt pieces.
+  result.autoscaler.mean_active =
+      scaler.enabled && makespan > 0.0 ? active_integral / makespan
+                                       : static_cast<double>(active_count);
+
+  // Close every health dwell bucket and derive per-PCU availability (the
+  // in-service fraction of the run).
+  for (std::size_t p = 0; p < result.fault.per_pcu.size(); ++p) {
+    close_health(p, makespan);
+    PcuHealthStats& hs = result.fault.per_pcu[p];
+    hs.availability = makespan > 0.0
+                          ? (hs.healthy_time + hs.degraded_time) / makespan
+                          : 1.0;
+  }
+  return std::move(result);
+}
 
 } // namespace
 
@@ -302,1261 +1325,125 @@ AdmissionResult PcuPool::run_admission(
                                << min_split_passes_.size()
                                << " models are registered");
   }
-  const bool double_buffer = options.double_buffer;
-  const DispatchPolicy policy = options.policy;
-  // Opt-in observability. Strictly read-only hooks: telemetry never feeds
-  // anything back into the loop, so the schedule is bitwise identical with
-  // or without it (pinned by the telemetry property tests).
-  Telemetry* const telemetry = options.telemetry;
+  if (options.faults.enabled())
+    validate_fault_options(options.faults, pcus_.size());
 
-  // Resolve the autoscaler envelope against the pool size.
-  const AutoscalerPolicy& scaler = options.autoscaler;
-  const std::size_t max_active =
-      scaler.enabled && scaler.max_active > 0
-          ? std::min(scaler.max_active, pcus_.size())
-          : pcus_.size();
-  const std::size_t min_active =
-      scaler.enabled ? scaler.min_active : pcus_.size();
-  if (scaler.enabled) {
-    PCNNA_CHECK_MSG(min_active >= 1 && min_active <= max_active,
-                    "autoscaler needs 1 <= min_active <= max_active, got ["
-                        << min_active << ", " << max_active << "]");
-  }
-
-  // Fault machinery (see fault_plan.hpp). fault_active == false is the
-  // contract that every code path below is bit-identical to the pre-fault
-  // loop: all fault state is inert and every fault branch is guarded.
-  const FaultOptions& faults = options.faults;
-  const bool fault_active = faults.enabled();
-  if (fault_active) {
-    validate_fault_schedule(faults.schedule);
-    for (std::size_t i = 0; i < faults.schedule.size(); ++i) {
-      PCNNA_CHECK_MSG(faults.schedule[i].pcu < pcus_.size(),
-                      "fault event " << i << " targets PCU "
-                                     << faults.schedule[i].pcu
-                                     << " but the fleet has " << pcus_.size()
-                                     << " PCUs");
-    }
-    PCNNA_CHECK_MSG(std::isfinite(faults.detection_latency) &&
-                        faults.detection_latency >= 0.0,
-                    "fault detection latency must be finite and >= 0, got "
-                        << faults.detection_latency);
-    PCNNA_CHECK_MSG(std::isfinite(faults.repair_time) &&
-                        faults.repair_time >= 0.0,
-                    "fault repair time must be finite and >= 0, got "
-                        << faults.repair_time);
-    PCNNA_CHECK_MSG(std::isfinite(faults.retry.backoff_base) &&
-                        faults.retry.backoff_base >= 0.0,
-                    "retry backoff base must be finite and >= 0, got "
-                        << faults.retry.backoff_base);
-    PCNNA_CHECK_MSG(std::isfinite(faults.retry.backoff_factor) &&
-                        faults.retry.backoff_factor >= 1.0,
-                    "retry backoff factor must be finite and >= 1, got "
-                        << faults.retry.backoff_factor);
-  }
-
-  AdmissionResult result;
-  result.schedule.reserve(requests.size());
-  std::vector<double> free_at(pcus_.size(), 0.0);
-  std::vector<std::size_t> served(pcus_.size(), 0);
-  // Programmed model per PCU: which model's weights currently sit in the
-  // banks. Starts unprogrammed; a dispatch that switches it pays the swap.
-  std::vector<std::uint32_t> programmed(pcus_.size(), kNoModel);
-  // Autoscaler state. Without it every PCU is active forever and
-  // force_cold never fires, so the lambdas below behave exactly as before.
-  std::vector<unsigned char> active(pcus_.size(), 0);
-  std::vector<unsigned char> force_cold(pcus_.size(), 0);
-  std::vector<double> activated_at(pcus_.size(), 0.0);
-  std::size_t active_count = scaler.enabled ? min_active : pcus_.size();
-  for (std::size_t p = 0; p < active_count; ++p) active[p] = 1;
-
-  // --- pipeline (kPipeline) state: inert under every other policy ---
-  const bool pipelined = policy == DispatchPolicy::kPipeline;
-  // Work on a copy of the built groups: quarantine-driven re-placement
-  // mutates stage assignments mid-run, and simulate_admission must stay a
-  // pure function of the pool's built state (two identical runs, identical
-  // schedules).
-  std::vector<PipelineGroup> groups =
-      pipelined ? groups_ : std::vector<PipelineGroup>{};
-  // reserved[p]: PCU p belongs to a pipeline group — never a target for
-  // fallback (group-less) dispatch and exempt from autoscaler shrink. All
-  // zero unless pipelined, so every guard below is inert otherwise.
-  std::vector<unsigned char> reserved(pcus_.size(), 0);
-  // pinned[g][j]: stage j of group g has paid its one-time pin (the stage
-  // range's first-layer recalibration). Reset on re-placement: new stage
-  // ranges mean freshly reprogrammed banks.
-  std::vector<std::vector<unsigned char>> pinned(groups.size());
-  // last_healthy[g]: the member subset group g is currently placed over.
-  std::vector<std::vector<std::size_t>> last_healthy(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    pinned[g].assign(groups[g].stages.size(), 0);
-    last_healthy[g] = groups[g].members;
-    for (std::size_t p : groups[g].members) reserved[p] = 1;
-  }
-  result.pipeline.groups = groups.size();
-  if (pipelined && scaler.enabled) {
-    // Pipeline members are statically placed; parking one would stall its
-    // whole group. They are always active (and shrink_idle skips them).
-    for (std::size_t p = 0; p < pcus_.size(); ++p) {
-      if (reserved[p] && !active[p]) {
-        active[p] = 1;
-        active_count += 1;
-      }
-    }
-  }
-
-  // Per-PCU health state (inert without faults).
-  std::vector<HealthState> health(pcus_.size(), HealthState::kHealthy);
-  std::vector<double> degrade_mult(pcus_.size(), 1.0);
-  // Pulled from dispatch: quarantined, or failed once detection fires.
-  std::vector<unsigned char> excluded(pcus_.size(), 0);
-  std::vector<double> health_since(pcus_.size(), 0.0);
-  std::vector<TimerKind> timer_kind(pcus_.size(), TimerKind::kNone);
-  std::vector<double> timer_at(pcus_.size(),
-                               std::numeric_limits<double>::infinity());
-  std::vector<Inflight> inflight(pcus_.size());
-  // Tombstones parallel to result.schedule (maintained only when
-  // fault_active): destroyed attempts stay in place until the final stable
-  // compaction so in-flight bookkeeping can index the schedule directly.
-  std::vector<unsigned char> cancelled;
-  // In-flight *pipelined* attempts (maintained only when fault_active and
-  // pipelined): a pipelined request occupies several PCUs over disjoint
-  // stage spans, so fault events must search the committed spans — the
-  // single-PCU `inflight` slots cannot represent it. Entries go stale once
-  // their schedule entry is cancelled or past; scans skip those.
-  struct PipeInflight {
-    std::size_t sched_index;
-    PendingRequest req;
-  };
-  std::vector<PipeInflight> pipe_inflight;
-  std::set<RetryEntry, RetryOrder> retries;
-  std::size_t fault_cursor = 0;
-  if (fault_active) result.fault.per_pcu.resize(pcus_.size());
-
-  // Pipeline-fill charge for dispatching model m to PCU p at `start`, per
-  // that PCU's warmup policy. Zero on the serial schedule: without double
-  // buffering every layer pays its recalibration inline. A PCU the
-  // autoscaler just (re)activated is cold regardless of policy.
-  const auto warmup_charge = [&](std::size_t p, std::uint32_t m,
-                                 double start) -> double {
-    if (!double_buffer) return 0.0;
-    bool cold = true;
-    switch (pcus_[p].warmup_policy()) {
-      case WarmupPolicy::kRechargeAfterIdle:
-        // An idle gap drains the double-buffer pipeline, so the next
-        // request pays the pipeline-fill warmup again; within a
-        // back-to-back streak only the steady-state interval is charged.
-        // start == free_at[p] is back-to-back — the comparison must stay
-        // strictly greater-than, or a request landing exactly when the
-        // PCU frees would be double-charged warmup.
-        cold = served[p] == 0 || start > free_at[p];
-        break;
-      case WarmupPolicy::kPinnedAfterFirst:
-        cold = served[p] == 0;
-        break;
-      case WarmupPolicy::kAlwaysCold:
-        cold = true;
-        break;
-    }
-    return (cold || force_cold[p]) ? pcus_[p].warmup_time(m) : 0.0;
-  };
-
-  // True when dispatching model m to PCU p would reprogram its banks from
-  // a *different* model — the swap event. Only meaningful on the
-  // double-buffered schedule (serial requests reprogram inline anyway),
-  // and never on a PCU's very first programming.
-  const auto would_swap = [&](std::size_t p, std::uint32_t m) -> bool {
-    return double_buffer && programmed[p] != kNoModel && programmed[p] != m;
-  };
-
-  // Calibration-drift inflation: a degraded PCU's whole service span is
-  // stretched by its worst unrepaired degrade severity. 1.0 (always,
-  // without faults) multiplies every span bit-identically.
-  const auto degrade_factor = [&](std::size_t p) -> double {
-    return fault_active ? degrade_mult[p] : 1.0;
-  };
-
-  // Truthful service span on PCU p for a model-m request starting at
-  // `start`, swap included: exactly what dispatch() will charge. Used for
-  // the actual charge, shed decisions, and kModelAffinity's scoring.
-  const auto true_service = [&](std::size_t p, std::uint32_t m,
-                                double start) -> double {
-    if (!double_buffer)
-      return pcus_[p].request_time_serial(m) * degrade_factor(p);
-    return (pcus_[p].request_interval_overlapped(m) +
-            (would_swap(p, m) ? pcus_[p].swap_time(m)
-                              : warmup_charge(p, m, start))) *
-           degrade_factor(p);
-  };
-
-  // Model-blind service span: the legacy policies' completion score, which
-  // deliberately ignores the swap a dispatch may charge — least-loaded is
-  // a *load* balancer, not a placement policy, and that blindness is
-  // precisely what kModelAffinity fixes (and what the multi-model bench
-  // measures). Identical to true_service on a single-model stream.
-  const auto blind_service = [&](std::size_t p, std::uint32_t m,
-                                 double start) -> double {
-    if (!double_buffer)
-      return pcus_[p].request_time_serial(m) * degrade_factor(p);
-    return (pcus_[p].request_interval_overlapped(m) +
-            warmup_charge(p, m, start)) *
-           degrade_factor(p);
-  };
-
-  // Per-model capability: under kCapabilityAware (and kModelAffinity's
-  // least-loaded-capable fallback) a PCU must map the request's model with
-  // the fleet-minimum number of segmented bank passes.
-  const auto capable = [&](std::size_t p, std::uint32_t m) {
-    if (policy != DispatchPolicy::kCapabilityAware &&
-        policy != DispatchPolicy::kModelAffinity)
-      return true;
-    return pcus_[p].channel_split_passes(m) == min_split_passes_[m];
-  };
-
-  // --- free-PCU index (free_time_index.hpp) ---
-  //
-  // Every search for a free PCU goes through `index`: the FIFO pick, the
-  // next dispatch instant, and the next PCU-free event. A tier groups the
-  // PCUs that blind_service prices alike — same per-model interval, warmup,
-  // serial time and split passes (hence capability), same warmup policy,
-  // same degrade multiplier — so a fault that changes a PCU's multiplier
-  // moves it to another tier. A PCU is listed while it is active, not
-  // pulled from dispatch, and capable of some registered model.
-  const auto same_device = [&](std::size_t p, std::size_t q) {
-    const Pcu& a = pcus_[p];
-    const Pcu& b = pcus_[q];
-    if (a.warmup_policy() != b.warmup_policy()) return false;
-    for (std::uint32_t m = 0; m < min_split_passes_.size(); ++m) {
-      if (a.request_interval_overlapped(m) !=
-              b.request_interval_overlapped(m) ||
-          a.warmup_time(m) != b.warmup_time(m) ||
-          a.request_time_serial(m) != b.request_time_serial(m) ||
-          a.channel_split_passes(m) != b.channel_split_passes(m))
-        return false;
-    }
-    return true;
-  };
-  // device[p]: the first PCU priced like p, standing in for all of them
-  // in capability tests.
-  std::vector<std::size_t> device(pcus_.size());
-  std::vector<std::size_t> firsts;
-  std::vector<unsigned char> serves_any(pcus_.size(), 0);
-  for (std::size_t p = 0; p < pcus_.size(); ++p) {
-    const auto first =
-        std::find_if(firsts.begin(), firsts.end(),
-                     [&](std::size_t q) { return same_device(p, q); });
-    device[p] = first == firsts.end() ? p : *first;
-    if (device[p] == p) firsts.push_back(p);
-    for (std::uint32_t m = 0; m < min_split_passes_.size(); ++m)
-      if (capable(p, m)) serves_any[p] = 1;
-  }
-  // Tier k: the PCUs of device tier_device[k] at degrade multiplier
-  // tier_mult[k]. Fleets have few tiers, so a linear search finds them.
-  std::vector<std::size_t> tier_device;
-  std::vector<double> tier_mult;
-  const auto tier_of = [&](std::size_t p) {
-    std::size_t k = 0;
-    while (k < tier_device.size() &&
-           (tier_device[k] != device[p] || tier_mult[k] != degrade_mult[p]))
-      ++k;
-    if (k == tier_device.size()) {
-      tier_device.push_back(device[p]);
-      tier_mult.push_back(degrade_mult[p]);
-    }
-    return k;
-  };
-  FreeTimeIndex index(pcus_.size());
-  // The one write into the index: every change to a PCU's free time,
-  // served count, forced-cold flag, degrade multiplier, or dispatch
-  // eligibility is followed by reindex(p).
-  const auto reindex = [&](std::size_t p) {
-    const WarmupPolicy warmup = pcus_[p].warmup_policy();
-    // Mirrors warmup_charge: a served PCU not forced cold starts warm at its
-    // free time; only kPinnedAfterFirst stays warm across an idle gap.
-    const bool warm = double_buffer && served[p] > 0 && !force_cold[p] &&
-                      warmup != WarmupPolicy::kAlwaysCold;
-    index.update(p, {tier_of(p), free_at[p], warm,
-                     warm && warmup == WarmupPolicy::kPinnedAfterFirst,
-                     active[p] && !excluded[p] && serves_any[p] != 0});
-  };
-  for (std::size_t p = 0; p < pcus_.size(); ++p) reindex(p);
-  // kEarliestFree scores a PCU by its free time alone. Every other FIFO
-  // score charges the warmup an idle gap drains, so the index must rank
-  // PCUs that freed before `now` from `now` (advance_to keeps it there).
-  const bool rank_idle_from_now = policy != DispatchPolicy::kEarliestFree;
-
-  // --- fault helpers (all no-ops / unreachable when !fault_active) ---
-
-  // Close the current health-state dwell bucket of PCU p at time t.
-  const auto close_health = [&](std::size_t p, double t) {
-    const double dt = t - health_since[p];
-    if (dt > 0.0) {
-      PcuHealthStats& hs = result.fault.per_pcu[p];
-      switch (health[p]) {
-        case HealthState::kHealthy: hs.healthy_time += dt; break;
-        case HealthState::kDegraded: hs.degraded_time += dt; break;
-        case HealthState::kQuarantined: hs.quarantined_time += dt; break;
-        case HealthState::kFailed: hs.failed_time += dt; break;
-      }
-      health_since[p] = t;
-    }
-  };
-
-  // A completed repair re-trims PCU p's weight banks: lazily invalidate
-  // every calibration artifact planned for its configuration.
-  const auto bump_plan_epoch = [&](std::size_t p) {
-    if (faults.plan_cache == nullptr) return;
-    faults.plan_cache->bump_epoch(
-        core::plan_config_key(pcus_[p].config(), pcus_[p].fidelity()));
-    result.fault.plan_epoch_bumps += 1;
-  };
-
-  // Fastest base service any PCU offers for model m — the bound behind
-  // deadline-aware backoff (a retry sleeping past deadline - this can
-  // never succeed).
-  const auto fleet_min_service = [&](std::uint32_t m) -> double {
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < pcus_.size(); ++p) {
-      best = std::min(best, double_buffer
-                                ? pcus_[p].request_interval_overlapped(m)
-                                : pcus_[p].request_time_serial(m));
-    }
-    return best;
-  };
-
-  // A destroyed attempt of `req` was detected at `detect`: re-enqueue it
-  // with exponential backoff if the budget allows, else record the
-  // permanent loss. The backoff is capped so the retry could still start
-  // early enough to meet a finite deadline on the fastest capable PCU.
-  const auto schedule_retry = [&](const PendingRequest& req, double detect) {
-    if (!faults.health_aware || req.attempts > faults.retry.max_retries) {
-      result.fault.lost_requests += 1;
-      result.fault.losses.push_back({req.id, req.tenant, req.priority,
-                                     req.arrival, detect, req.attempts});
-      return;
-    }
-    double delay = faults.retry.backoff_base;
-    for (std::uint32_t k = 1; k < req.attempts; ++k)
-      delay *= faults.retry.backoff_factor;
-    double ready = detect + delay;
-    if (std::isfinite(req.deadline)) {
-      ready = std::max(detect,
-                       std::min(ready, req.deadline -
-                                           fleet_min_service(req.model)));
-    }
-    PendingRequest next = req;
-    next.attempts += 1;
-    retries.insert({ready, next});
-    result.fault.retries += 1;
-  };
-
-  // Destroy one dispatched attempt: tombstone its schedule entry, record
-  // it, and route the request into retry (or permanent loss). `end` is
-  // when the PCU time was wasted until; `detect` is when the loss becomes
-  // known (the retry clock's start).
-  const auto lose_attempt = [&](const PendingRequest& req,
-                                std::size_t sched_index, std::size_t p,
-                                FaultKind kind, double end, double detect) {
-    cancelled[sched_index] = 1;
-    result.fault.attempts.push_back(
-        {req.id, p, result.schedule[sched_index].start, end, kind,
-         req.attempts});
-    result.fault.per_pcu[p].lost_attempts += 1;
-    result.fault.per_pcu[p].lost_time +=
-        end - result.schedule[sched_index].start;
-    if (kind == FaultKind::kCrash) {
-      result.fault.crash_losses += 1;
-    } else {
-      result.fault.transient_corruptions += 1;
-    }
-    schedule_retry(req, detect);
-  };
-
-  // Commit one dispatch: charge service on PCU p starting at `start`
-  // (swap or warmup per the programmed state) and append the schedule
-  // entry.
-  const auto dispatch = [&](const PendingRequest& r, std::size_t p,
-                            double start) {
-    const bool swapped = would_swap(p, r.model);
-    const double swap = swapped ? pcus_[p].swap_time(r.model) : 0.0;
-    const double warmup = swapped ? 0.0 : warmup_charge(p, r.model, start);
-    const double service =
-        (double_buffer
-             ? pcus_[p].request_interval_overlapped(r.model) + swap + warmup
-             : pcus_[p].request_time_serial(r.model)) *
-        degrade_factor(p);
-    const double completion = start + service;
-    free_at[p] = completion;
-    served[p] += 1;
-    force_cold[p] = 0;
-    programmed[p] = r.model;
-    reindex(p);
-    result.schedule.push_back({r.id, p, r.arrival, start, completion, warmup,
-                               r.tenant, r.priority, r.deadline, r.model,
-                               swap, swapped, r.attempts, {}});
-    if (telemetry) telemetry->on_dispatch(swapped, /*pipelined=*/false);
-    if (fault_active) {
-      cancelled.push_back(0);
-      const std::size_t idx = result.schedule.size() - 1;
-      if (health[p] == HealthState::kFailed) {
-        // Black hole: the PCU is dead (fault-blind dispatch, or
-        // health-aware inside the detection window). The dispatcher only
-        // learns at the predicted completion that the request never came
-        // back.
-        lose_attempt(r, idx, p, FaultKind::kCrash, completion, completion);
-        inflight[p].valid = false;
-      } else {
-        inflight[p] = {true, idx, completion, r};
-      }
-    }
-  };
-
-  // FIFO policies without shedding, autoscaler or faults commit each
-  // request at its arrival: their scores depend only on the deterministic
-  // per-PCU free times, so a later arrival can never change an earlier
-  // commitment. Everything else defers commitments to the moment a PCU
-  // frees (see below).
-  const bool deferred = policy == DispatchPolicy::kEdf ||
-                        policy == DispatchPolicy::kModelAffinity ||
-                        policy == DispatchPolicy::kPipeline ||
-                        options.shed_expired || scaler.enabled ||
-                        fault_active;
-
-  // FIFO-policy choice for a model-m request at time t among the PCUs
-  // `elig` admits: kEarliestFree takes the longest-free PCU, the others
-  // the earliest predicted (model-blind) completion; ties go to the lowest
-  // index. Deferred, only PCUs already free at t compete; a commit at
-  // arrival also weighs busy PCUs, starting when they free.
-  const auto pick_fifo = [&](std::uint32_t m, double t, const auto& elig) {
-    return index.pick(
-        t, /*busy_ok=*/!deferred,
-        [&](std::size_t tier) { return capable(tier_device[tier], m); },
-        [&](std::size_t p) {
-          const double start = std::max(t, free_at[p]);
-          return policy == DispatchPolicy::kEarliestFree
-                     ? free_at[p]
-                     : start + blind_service(p, m, start);
-        },
-        elig);
-  };
-
-  // Deferred commitments: arrived requests wait in `pending` and every
-  // commitment is deferred to the moment an eligible PCU actually frees.
-  // Necessary because (a) EDF lets a later tighter-deadline arrival
-  // overtake queued work, (b) shedding is decided from the fleet state at
-  // the would-start moment, (c) the autoscaler changes the eligible set
-  // over time, and (d) model affinity may hold a request for a busy PCU
-  // programmed with its model while a less picky request behind it runs.
-  // Events are arrivals and PCU-free instants; the clock only moves
-  // forward, so the schedule stays deterministic.
-  //
-  // kModelAffinity reuses the EDF urgency order: with SLO metadata the
-  // most urgent request gets first pick of the fleet; without it the
-  // order degenerates to FIFO and only the per-model deferrals reorder.
-  std::set<PendingRequest, UrgencyOrder> pending(
-      UrgencyOrder{policy == DispatchPolicy::kEdf ||
-                   policy == DispatchPolicy::kModelAffinity ||
-                   policy == DispatchPolicy::kPipeline});
-
-  double now = 0.0;
-  double last_event = 0.0;
-  double active_integral = 0.0; // ∫ active_count dt for mean_active
-  const auto advance_to = [&](double t) {
-    if (t > last_event) {
-      active_integral +=
-          static_cast<double>(active_count) * (t - last_event);
-      last_event = t;
-    }
-    now = std::max(now, t);
-    if (rank_idle_from_now) index.advance(now);
-  };
-
-  // --- fault event machinery (only reached when fault_active) ---
-
-  // Fire the pending health-system timer of PCU p at its due time t.
-  const auto fire_timer = [&](std::size_t p, double t) {
-    const TimerKind kind = timer_kind[p];
-    timer_kind[p] = TimerKind::kNone;
-    timer_at[p] = std::numeric_limits<double>::infinity();
-    switch (kind) {
-      case TimerKind::kNone:
-        return;
-      case TimerKind::kDetectCrash:
-        // The health system notices the crash: pull the dead PCU from
-        // dispatch. (A recovery before detection clears this timer.)
-        if (health[p] == HealthState::kFailed) {
-          excluded[p] = 1;
-          reindex(p);
-        }
-        return;
-      case TimerKind::kDetectDegrade: {
-        if (health[p] != HealthState::kDegraded) return;
-        // Quarantine: out of dispatch, drain the in-flight request, then
-        // pay the full repair recalibration (fixed repair time plus the
-        // full serial reprogram of whatever model is in the banks).
-        close_health(p, t);
-        health[p] = HealthState::kQuarantined;
-        excluded[p] = 1;
-        result.fault.quarantines += 1;
-        result.fault.per_pcu[p].quarantines += 1;
-        const std::uint32_t m =
-            programmed[p] == kNoModel ? 0u : programmed[p];
-        const double repair_start = std::max(t, free_at[p]);
-        const double repair_end =
-            repair_start + faults.repair_time + pcus_[p].swap_time(m);
-        result.fault.repair_time += repair_end - repair_start;
-        free_at[p] = std::max(free_at[p], repair_end);
-        reindex(p);
-        timer_kind[p] = TimerKind::kRepairDone;
-        timer_at[p] = repair_end;
-        return;
-      }
-      case TimerKind::kRepairDone:
-        // Rejoin healthy with freshly re-trimmed, unprogrammed banks: the
-        // next dispatch recalibrates from cold, and every calibration
-        // artifact planned for this configuration goes stale.
-        close_health(p, t);
-        health[p] = HealthState::kHealthy;
-        excluded[p] = 0;
-        degrade_mult[p] = 1.0;
-        programmed[p] = kNoModel;
-        force_cold[p] = 1;
-        reindex(p);
-        result.fault.repairs += 1;
-        result.fault.per_pcu[p].repairs += 1;
-        bump_plan_epoch(p);
-        return;
-    }
-    throw Error("invalid TimerKind");
-  };
-
-  // Apply one FaultEvent at its timestamp.
-  const auto apply_fault = [&](const FaultEvent& e) {
-    result.fault.injections += 1;
-    const std::size_t p = e.pcu;
-    switch (e.kind) {
-      case FaultKind::kTransient: {
-        result.fault.per_pcu[p].transients += 1;
-        if (health[p] == HealthState::kFailed) return; // nothing to corrupt
-        const Inflight fl = inflight[p];
-        if (fl.valid && fl.completion > e.time &&
-            !cancelled[fl.sched_index]) {
-          // The victim runs to its scheduled completion (occupying the
-          // PCU) but its output is corrupt — detected at completion, when
-          // the retry clock starts.
-          lose_attempt(fl.req, fl.sched_index, p, FaultKind::kTransient,
-                       fl.completion, fl.completion);
-          inflight[p].valid = false;
-        }
-        // A pipelined attempt is corrupted when the fault lands inside one
-        // of its stage spans on p; the corruption surfaces only when the
-        // final stage completes (earlier stages hand off silently).
-        for (const PipeInflight& pf : pipe_inflight) {
-          if (cancelled[pf.sched_index]) continue;
-          const ScheduledService& s = result.schedule[pf.sched_index];
-          for (const StageService& st : s.stages) {
-            if (st.pcu == p && st.start <= e.time &&
-                e.time < st.completion) {
-              lose_attempt(pf.req, pf.sched_index, p, FaultKind::kTransient,
-                           s.completion, s.completion);
-              break;
-            }
-          }
-        }
-        return;
-      }
-      case FaultKind::kDegrade: {
-        if (health[p] == HealthState::kFailed) return; // dead already
-        result.fault.per_pcu[p].degrades += 1;
-        degrade_mult[p] = std::max(degrade_mult[p], e.severity);
-        reindex(p);
-        if (health[p] == HealthState::kHealthy) {
-          close_health(p, e.time);
-          health[p] = HealthState::kDegraded;
-        }
-        // Already-quarantined PCUs are being repaired anyway; an earlier
-        // pending detection keeps its (earlier) due time.
-        if (faults.health_aware && health[p] == HealthState::kDegraded &&
-            timer_kind[p] == TimerKind::kNone) {
-          timer_kind[p] = TimerKind::kDetectDegrade;
-          timer_at[p] = e.time + faults.detection_latency;
-        }
-        return;
-      }
-      case FaultKind::kCrash: {
-        result.fault.per_pcu[p].crashes += 1;
-        if (health[p] == HealthState::kFailed) return; // dead already
-        close_health(p, e.time);
-        health[p] = HealthState::kFailed;
-        // A crash supersedes any pending detection and aborts a repair in
-        // progress (the repair never completes: no repairs count, no
-        // epoch bump — the banks were never re-trimmed).
-        timer_kind[p] = TimerKind::kNone;
-        timer_at[p] = std::numeric_limits<double>::infinity();
-        if (faults.health_aware) {
-          timer_kind[p] = TimerKind::kDetectCrash;
-          timer_at[p] = e.time + faults.detection_latency;
-        }
-        const Inflight fl = inflight[p];
-        if (fl.valid && fl.completion > e.time &&
-            !cancelled[fl.sched_index]) {
-          // The in-flight request dies at fault time; the loss is noticed
-          // after the detection latency.
-          lose_attempt(fl.req, fl.sched_index, p, FaultKind::kCrash, e.time,
-                       e.time + faults.detection_latency);
-          inflight[p].valid = false;
-        }
-        // A crash on p kills every pipelined attempt with a stage span on
-        // p not yet complete at fault time — including future spans, whose
-        // activation would arrive at a dead PCU.
-        for (const PipeInflight& pf : pipe_inflight) {
-          if (cancelled[pf.sched_index]) continue;
-          const ScheduledService& s = result.schedule[pf.sched_index];
-          for (const StageService& st : s.stages) {
-            if (st.pcu == p && st.completion > e.time) {
-              lose_attempt(pf.req, pf.sched_index, p, FaultKind::kCrash,
-                           e.time, e.time + faults.detection_latency);
-              break;
-            }
-          }
-        }
-        return;
-      }
-      case FaultKind::kRecover:
-        // External repair: back in service healthy, banks freshly
-        // re-trimmed and unprogrammed (a mid-quarantine recover completes
-        // the repair early; a recover on a healthy PCU is an external
-        // re-trim — both count as a repair and bump the epoch).
-        close_health(p, e.time);
-        health[p] = HealthState::kHealthy;
-        excluded[p] = 0;
-        degrade_mult[p] = 1.0;
-        programmed[p] = kNoModel;
-        force_cold[p] = 1;
-        free_at[p] = std::max(free_at[p], e.time);
-        reindex(p);
-        timer_kind[p] = TimerKind::kNone;
-        timer_at[p] = std::numeric_limits<double>::infinity();
-        result.fault.repairs += 1;
-        result.fault.per_pcu[p].repairs += 1;
-        bump_plan_epoch(p);
-        return;
-    }
-    throw Error("invalid FaultKind");
-  };
-
-  // Re-place every pipeline group whose healthy member set changed — a
-  // member got quarantined or declared dead (excluded) or repaired back in.
-  // place_pipeline is a pure function of the surviving members, so the
-  // re-placement is deterministic; pins reset because new stage ranges mean
-  // freshly reprogrammed banks.
-  const auto refresh_pipelines = [&] {
-    if (!pipelined) return;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      std::vector<std::size_t> healthy_members;
-      for (std::size_t p : groups[g].members)
-        if (!excluded[p]) healthy_members.push_back(p);
-      if (healthy_members == last_healthy[g]) continue;
-      last_healthy[g] = healthy_members;
-      place_pipeline(groups[g], healthy_members);
-      pinned[g].assign(groups[g].stages.size(), 0);
-      result.pipeline.replacements += 1;
-    }
-  };
-
-  // Earliest pending health timer (ties: lowest PCU index).
-  const auto next_timer = [&]() -> std::pair<double, std::size_t> {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t who = pcus_.size();
-    for (std::size_t p = 0; p < pcus_.size(); ++p) {
-      if (timer_at[p] < best) {
-        best = timer_at[p];
-        who = p;
-      }
-    }
-    return {best, who};
-  };
-
-  const auto next_fault_time = [&]() -> double {
-    return fault_cursor < faults.schedule.size()
-               ? faults.schedule[fault_cursor].time
-               : std::numeric_limits<double>::infinity();
-  };
-
-  // Earliest instant the health system acts next (timer or injection).
-  const auto next_health_event = [&]() -> double {
-    return std::min(next_timer().first, next_fault_time());
-  };
-
-  // Process every health timer and fault event due by `t`, each at its own
-  // timestamp (timers first on exact ties: detection/repair outcomes must
-  // be visible to a fault striking at the same instant).
-  const auto process_events_to = [&](double t) {
-    while (true) {
-      const auto [tt, tp] = next_timer();
-      const double ft = next_fault_time();
-      if (tt <= ft) {
-        if (tt > t) break;
-        advance_to(tt);
-        fire_timer(tp, tt);
-      } else {
-        if (ft > t) break;
-        advance_to(ft);
-        apply_fault(faults.schedule[fault_cursor]);
-        fault_cursor += 1;
-      }
-      // Either branch may have changed a PCU's exclusion; pipeline groups
-      // re-place over their surviving members immediately.
-      refresh_pipelines();
-    }
-  };
-
-  // Every clock advance of the loop goes through here so faults strike in
-  // order, at their own timestamps, before the loop acts at `t`. Identical
-  // to advance_to when no faults are injected.
-  const auto step_to = [&](double t) {
-    if (fault_active) process_events_to(t);
-    advance_to(t);
-  };
-
-  // Drain every permanently-undispatchable request into the loss record —
-  // the fleet died (or stayed incapable) with them still waiting and no
-  // future event can change that.
-  const auto drain_all_lost = [&](std::set<PendingRequest, UrgencyOrder>&
-                                      pending_set) {
-    for (const PendingRequest& r : pending_set) {
-      result.fault.lost_requests += 1;
-      result.fault.losses.push_back(
-          {r.id, r.tenant, r.priority, r.arrival, now, r.attempts - 1});
-    }
-    pending_set.clear();
-    for (const RetryEntry& e : retries) {
-      result.fault.lost_requests += 1;
-      result.fault.losses.push_back({e.req.id, e.req.tenant, e.req.priority,
-                                     e.req.arrival, now,
-                                     e.req.attempts - 1});
-    }
-    retries.clear();
-  };
-
-  // Shrink: deactivate PCUs idle at least shrink_after_idle, highest
-  // index first, never below min_active. A busy PCU (free_at > now) has
-  // negative idle time and is never touched.
-  const auto shrink_idle = [&] {
-    if (scaler.shrink_after_idle <= 0.0) return;
-    for (std::size_t i = pcus_.size(); i-- > 0 && active_count > min_active;) {
-      // A reserved PCU (pipeline group member) is never parked: the group
-      // admits work at the head's pace and any member going cold would
-      // stall the whole chain. `reserved` is all-zero without kPipeline.
-      if (!active[i] || reserved[i]) continue;
-      const double idle_from = std::max(free_at[i], activated_at[i]);
-      if (now - idle_from >= scaler.shrink_after_idle) {
-        active[i] = 0;
-        reindex(i);
-        active_count -= 1;
-        result.autoscaler.scale_downs += 1;
-      }
-    }
-  };
-
-  // Grow: activate the lowest-indexed inactive PCU while the pending
-  // backlog exceeds the per-PCU budget. Activation forces a cold start:
-  // the pipeline of a parked PCU has drained no matter its WarmupPolicy.
-  const auto grow_on_backlog = [&] {
-    while (active_count < max_active &&
-           static_cast<double>(pending.size()) >
-               scaler.backlog_per_pcu * static_cast<double>(active_count)) {
-      // Skip health-excluded PCUs: activating a quarantined or
-      // detected-dead PCU would waste the slot (excluded is always clear
-      // without fault injection).
-      std::size_t p = 0;
-      while (p < pcus_.size() && (active[p] || excluded[p])) ++p;
-      if (p == pcus_.size()) break; // every inactive PCU is unhealthy
-      active[p] = 1;
-      force_cold[p] = 1;
-      reindex(p);
-      activated_at[p] = now;
-      active_count += 1;
-      result.autoscaler.scale_ups += 1;
-    }
-    // Under kPipeline, reserved group members inflate active_count but
-    // never serve group-less models, so the backlog threshold alone can
-    // park every unreserved PCU forever. If a pending request's model has
-    // no (surviving) pipeline group while no unreserved PCU is awake,
-    // force one up — the fallback path must never starve behind the
-    // reserved fleet.
-    if (pipelined && active_count < max_active) {
-      bool groupless_pending = false;
-      for (const PendingRequest& r : pending) {
-        const PipelineGroup* g = nullptr;
-        for (const PipelineGroup& cand : groups)
-          if (cand.model == r.model) g = &cand;
-        if (g == nullptr || g->stages.empty()) {
-          groupless_pending = true;
-          break;
-        }
-      }
-      bool any_unreserved_awake = false;
-      if (groupless_pending) {
-        for (std::size_t p = 0; p < pcus_.size(); ++p)
-          if (active[p] && !reserved[p] && !excluded[p])
-            any_unreserved_awake = true;
-      }
-      if (groupless_pending && !any_unreserved_awake) {
-        for (std::size_t p = 0; p < pcus_.size(); ++p) {
-          if (active[p] || excluded[p] || reserved[p]) continue;
-          active[p] = 1;
-          force_cold[p] = 1;
-          reindex(p);
-          activated_at[p] = now;
-          active_count += 1;
-          result.autoscaler.scale_ups += 1;
-          break;
-        }
-      }
-    }
-  };
-
-  // The next request not yet admitted, and its arrival (+inf once the
-  // stream is exhausted).
-  std::size_t cursor = 0;
-  const auto next_arrival = [&]() -> double {
-    return cursor < requests.size()
-               ? requests[cursor].arrival_time
-               : std::numeric_limits<double>::infinity();
-  };
-
+  AdmissionState s(*this, pcus_, min_split_passes_, groups_, requests,
+                   options);
+  // Events are arrivals, PCU-free instants, retry expiries and health
+  // events; the clock only moves forward, so the schedule is
+  // deterministic.
   while (true) {
-    // Re-enqueue retries whose backoff has expired: they re-enter the
-    // pending set with their original arrival (and id, hence seed) and
-    // compete under the normal urgency order.
-    if (fault_active) {
-      while (!retries.empty() && retries.begin()->ready <= now) {
-        pending.insert(retries.begin()->req);
-        retries.erase(retries.begin());
-      }
+    // Retries whose backoff has expired re-enter the pending set (only
+    // here, at the top of the loop) with their original arrival and id,
+    // hence seed, and compete under the normal urgency order.
+    while (!s.retries.empty() && s.retries.begin()->ready <= s.now) {
+      s.pending.insert(s.retries.begin()->req);
+      s.retries.erase(s.retries.begin());
     }
 
     // Admit everything that has arrived by `now`: into the pending set, or
     // straight onto a PCU when commitments are not deferred.
-    for (; next_arrival() <= now; ++cursor) {
-      const InferenceRequest& q = requests[cursor];
+    for (; s.next_arrival() <= s.now; ++s.cursor) {
+      const InferenceRequest& q = requests[s.cursor];
       const PendingRequest r{q.id,       q.arrival_time, q.tenant,
                              q.priority, q.deadline,     q.model_id};
-      if (deferred) {
-        pending.insert(r);
+      if (s.deferred) {
+        s.pending.insert(r);
         continue;
       }
       // Capability is the tier filter; every listed PCU is eligible.
       const std::size_t p =
-          pick_fifo(r.model, r.arrival, [](std::size_t) { return true; });
-      dispatch(r, p, std::max(r.arrival, free_at[p]));
+          s.pick_fifo(r.model, r.arrival, [](std::size_t) { return true; });
+      s.dispatch(r, p, std::max(r.arrival, s.free_at[p]));
     }
 
-    if (pending.empty()) {
-      double next = next_arrival();
-      if (fault_active) {
-        if (!retries.empty()) next = std::min(next, retries.begin()->ready);
-        // Faults can still destroy work in flight: process health events
-        // up to the latest in-flight completion. Events past it are past
-        // the end of the simulated timeline and never fire.
-        double in_flight_until = -std::numeric_limits<double>::infinity();
-        for (std::size_t p = 0; p < pcus_.size(); ++p) {
-          if (inflight[p].valid && !cancelled[inflight[p].sched_index])
-            in_flight_until =
-                std::max(in_flight_until, inflight[p].completion);
-        }
-        for (const PipeInflight& pf : pipe_inflight) {
-          if (!cancelled[pf.sched_index])
-            in_flight_until =
-                std::max(in_flight_until,
-                         result.schedule[pf.sched_index].completion);
-        }
-        const double ev = next_health_event();
-        if (ev <= in_flight_until) next = std::min(next, ev);
-      }
+    if (s.pending.empty()) {
+      const double next = s.next_event(/*idle=*/true);
       if (!std::isfinite(next)) break; // drained: done
-      step_to(next);
+      s.step_to(next);
       continue;
     }
 
-    if (scaler.enabled) {
-      shrink_idle();
-      grow_on_backlog();
+    if (s.scaler.enabled) {
+      s.shrink_idle();
+      s.grow_on_backlog();
     }
 
     // The next dispatch opportunity: the earliest instant a listed
     // (active, not health-excluded, capable-of-some-model) PCU is free.
-    const double free_time = index.earliest_free(now);
-    if (!std::isfinite(free_time)) {
-      PCNNA_CHECK_MSG(fault_active,
-                      "no active capable PCU to dispatch to — autoscaler "
-                      "min_active excludes every capable PCU");
-      // The whole fleet is dead or quarantined. Wait for whatever event
-      // can change that (a repair, a recovery, more arrivals); if nothing
-      // ever will, everything still waiting is permanently lost.
-      double next_event = next_arrival();
-      if (!retries.empty())
-        next_event = std::min(next_event, retries.begin()->ready);
-      next_event = std::min(next_event, next_health_event());
-      if (!std::isfinite(next_event)) {
-        drain_all_lost(pending);
-        break;
-      }
-      step_to(next_event);
-      continue;
-    }
-
-    // If another request arrives before (or exactly when) a PCU frees,
-    // admit it first: under EDF it may be more urgent than anything
-    // already pending.
-    if (next_arrival() <= free_time) {
-      step_to(next_arrival());
-      continue;
-    }
-    if (fault_active) {
-      // Same for a retry whose backoff expires, or a health event — a
-      // fault could kill the very PCU the dispatch below would pick, so
-      // events strictly before (or at) the free instant are applied and
-      // the picture re-evaluated first.
-      double ev = next_health_event();
-      if (!retries.empty()) ev = std::min(ev, retries.begin()->ready);
-      if (ev <= free_time) {
-        step_to(ev);
+    // An arrival at or before it is admitted first (under EDF it may be
+    // more urgent than anything pending); so is a retry or health event —
+    // a fault could kill the very PCU the dispatch would pick.
+    const double free_time = s.index.earliest_free(s.now);
+    bool acted = false;
+    if (std::isfinite(free_time)) {
+      const double event = s.next_arrival() <= free_time ? s.next_arrival()
+                                                         : s.next_event();
+      if (event <= free_time) {
+        s.step_to(event);
         continue;
       }
-    }
-    step_to(free_time);
+      s.step_to(free_time);
 
-    // Walk the pending set in urgency order and act on the first request
-    // that can: dispatch it to a free PCU, or shed it. A request may
-    // instead *defer* — under kModelAffinity, to wait for a busy PCU
-    // programmed with its model; under multi-model kCapabilityAware, when
-    // every PCU capable of its model is busy — and then the next pending
-    // request gets its chance. On a single-model stream nothing ever
-    // defers (the free event guarantees a free capable PCU), so this loop
-    // acts on *pending.begin() exactly like the pre-multi-model code.
-    if (telemetry) telemetry->on_queue_depth(now, pending.size());
-    bool acted = false;
-    for (auto it = pending.begin(); it != pending.end(); ++it) {
-      const PendingRequest r = *it;
-      std::size_t best = pcus_.size();
-      double best_score = std::numeric_limits<double>::infinity();
-
-      // Health-aware capability downgrade: under the capability-sensitive
-      // policies a degraded PCU no longer meets the bar — unless no
-      // fully-healthy capable PCU is dispatchable for this model at all,
-      // in which case degraded capacity beats none.
-      bool allow_degraded = true;
-      if (fault_active && (policy == DispatchPolicy::kCapabilityAware ||
-                           policy == DispatchPolicy::kModelAffinity)) {
-        for (std::size_t p = 0; p < pcus_.size(); ++p) {
-          if (active[p] && !excluded[p] && capable(p, r.model) &&
-              health[p] == HealthState::kHealthy) {
-            allow_degraded = false;
-            break;
-          }
+      // Walk the pending set in urgency order and act on the first request
+      // that can: dispatch it, or shed it when its predicted completion
+      // blows its deadline. A request may instead defer — under
+      // kModelAffinity for a busy PCU programmed with its model, under
+      // kPipeline until its head stage frees, under multi-model
+      // kCapabilityAware while every capable PCU is busy — and the next
+      // pending request gets its chance. On a single-model stream nothing
+      // defers: the free event guarantees a free capable PCU.
+      if (s.telemetry) s.telemetry->on_queue_depth(s.now, s.pending.size());
+      for (auto it = s.pending.begin(); it != s.pending.end(); ++it) {
+        const PendingRequest r = *it;
+        Decision d;
+        switch (options.policy) {
+          case DispatchPolicy::kEarliestFree:
+          case DispatchPolicy::kLeastLoaded:
+          case DispatchPolicy::kCapabilityAware:
+          case DispatchPolicy::kEdf: d = s.pick_free(r); break;
+          case DispatchPolicy::kModelAffinity: d = s.pick_affinity(r); break;
+          case DispatchPolicy::kPipeline: d = s.pick_pipeline(r); break;
         }
-      }
-      // Dispatch eligibility of PCU p for this request. Reduces exactly to
-      // active && capable when no faults are injected.
-      const auto elig = [&](std::size_t p) {
-        if (!active[p] || !capable(p, r.model)) return false;
-        if (!fault_active) return true;
-        if (excluded[p]) return false;
-        return allow_degraded || health[p] != HealthState::kDegraded;
-      };
-
-      if (policy == DispatchPolicy::kPipeline) {
-        // Route to the model's pipeline group. The head PCU gates
-        // admission: a new image enters the pipeline when stage 0 frees,
-        // and downstream stages chain from the hand-off instants.
-        std::size_t gi = groups.size();
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-          if (groups[g].model == r.model) {
-            gi = g;
-            break;
-          }
+        if (d.pcu == Decision::kNone) continue;
+        const bool chained = d.group != Decision::kNone;
+        if (options.shed_expired &&
+            (chained ? s.chain.back().completion
+                     : s.now + s.true_service(d.pcu, r.model, s.now)) >
+                r.deadline) {
+          s.shed(r);
+        } else if (chained) {
+          s.dispatch_chain(r, d.group);
+        } else {
+          s.dispatch(r, d.pcu, s.now);
         }
-        if (gi < groups.size() && !groups[gi].stages.empty()) {
-          const PipelineGroup& g = groups[gi];
-          const std::size_t head = g.stages.front().pcu;
-          if (free_at[head] > now) continue; // defer until stage 0 frees
-          // Chain the stage spans: stage j starts once the previous
-          // stage's activation has crossed the inter-stage link AND the
-          // stage's PCU is free (busy with image i-1 of the same stream).
-          std::vector<StageService> spans;
-          spans.reserve(g.stages.size());
-          double prev = now;
-          double total_pin = 0.0;
-          double total_handoff = 0.0;
-          for (std::size_t j = 0; j < g.stages.size(); ++j) {
-            const PipelineStage& st = g.stages[j];
-            const double handoff = j == 0 ? 0.0 : g.handoff_time;
-            const double start = std::max(prev + handoff, free_at[st.pcu]);
-            // The pin — the stage range's first-layer recalibration — is
-            // paid once per placement; afterwards the stage's banks never
-            // change (that is the whole point of pipelining: zero swaps).
-            const double pin =
-                (pinned[gi][j] ? 0.0 : st.timings.pin) *
-                degrade_factor(st.pcu);
-            const double span =
-                st.timings.interval * degrade_factor(st.pcu) + pin;
-            spans.push_back({j, st.pcu, st.op_begin, st.op_end, start,
-                             start + span, pin, handoff});
-            total_pin += pin;
-            total_handoff += handoff;
-            prev = start + span;
-          }
-          const double completion = spans.back().completion;
-          if (options.shed_expired && completion > r.deadline) {
-            result.shed.shed += 1;
-            result.shed.per_tenant[r.tenant] += 1;
-            result.shed.decisions.push_back(
-                {r.id, r.tenant, r.priority, r.arrival, r.deadline, now});
-          } else {
-            for (std::size_t j = 0; j < spans.size(); ++j) {
-              const std::size_t p = spans[j].pcu;
-              free_at[p] = spans[j].completion;
-              served[p] += 1;
-              force_cold[p] = 0;
-              programmed[p] = r.model;
-              pinned[gi][j] = 1;
-              reindex(p);
-            }
-            ScheduledService entry;
-            entry.id = r.id;
-            entry.pcu = head;
-            entry.arrival = r.arrival;
-            entry.start = spans.front().start;
-            entry.completion = completion;
-            entry.warmup = total_pin;
-            entry.tenant = r.tenant;
-            entry.priority = r.priority;
-            entry.deadline = r.deadline;
-            entry.model = r.model;
-            entry.attempts = r.attempts;
-            entry.stages = std::move(spans);
-            result.schedule.push_back(std::move(entry));
-            result.pipeline.pipelined_requests += 1;
-            result.pipeline.stage_spans +=
-                result.schedule.back().stages.size();
-            if (telemetry)
-              telemetry->on_dispatch(/*swapped=*/false, /*pipelined=*/true);
-            result.pipeline.pin_time += total_pin;
-            result.pipeline.handoff_time += total_handoff;
-            if (fault_active) {
-              cancelled.push_back(0);
-              const std::size_t idx = result.schedule.size() - 1;
-              // Dispatching across an undetected-dead stage PCU is a
-              // black hole, same as the single-PCU case: the loss is only
-              // noticed at the predicted completion.
-              std::size_t dead_pcu = pcus_.size();
-              for (const StageService& s : result.schedule[idx].stages) {
-                if (health[s.pcu] == HealthState::kFailed) {
-                  dead_pcu = s.pcu;
-                  break;
-                }
-              }
-              if (dead_pcu < pcus_.size()) {
-                lose_attempt(r, idx, dead_pcu, FaultKind::kCrash,
-                             completion, completion);
-              } else {
-                pipe_inflight.push_back({idx, r});
-              }
-            }
-          }
-          pending.erase(it);
-          acted = true;
-          break;
-        }
-        // No pipeline group for this model — or the group lost every
-        // member. Fall back to least-loaded over the unreserved fleet so
-        // mixed deployments (some models pipelined, some not) still serve.
-        for (std::size_t p = 0; p < pcus_.size(); ++p) {
-          if (reserved[p] || !elig(p) || free_at[p] > now) continue;
-          const double score = now + blind_service(p, r.model, now);
-          if (score < best_score) {
-            best_score = score;
-            best = p;
-          }
-        }
-        if (best == pcus_.size()) {
-          bool any_unreserved = false;
-          for (std::size_t p = 0; p < pcus_.size(); ++p)
-            if (!reserved[p] && active[p] && capable(p, r.model))
-              any_unreserved = true;
-          PCNNA_CHECK_MSG(any_unreserved || fault_active,
-                          "model " << r.model
-                                   << " has no pipeline group and every "
-                                      "PCU is reserved by one");
-          continue; // defer until an unreserved PCU frees
-        }
-      } else if (policy == DispatchPolicy::kModelAffinity) {
-        // (a) Free PCU already programmed with r.model: earliest truthful
-        // completion wins (no swap by construction).
-        for (std::size_t p = 0; p < pcus_.size(); ++p) {
-          if (!elig(p) || free_at[p] > now || programmed[p] != r.model)
-            continue;
-          const double score = now + true_service(p, r.model, now);
-          if (score < best_score) {
-            best_score = score;
-            best = p;
-          }
-        }
-        if (best == pcus_.size()) {
-          // (b) Every affine PCU is busy (or none exists). Waiting for
-          // the soonest busy affine PCU predicts completion at its free
-          // time plus a warm steady-state interval; falling back means
-          // swapping onto the best free capable PCU now. Wait only when
-          // waiting both meets the deadline and is at least as fast —
-          // otherwise the affinity queue would blow the SLO (or just
-          // lose throughput) for the sake of a swap.
-          double affine_completion =
-              std::numeric_limits<double>::infinity();
-          for (std::size_t p = 0; p < pcus_.size(); ++p) {
-            if (!elig(p) || programmed[p] != r.model || free_at[p] <= now)
-              continue;
-            affine_completion =
-                std::min(affine_completion,
-                         free_at[p] + pcus_[p].request_interval_overlapped(
-                                          r.model) *
-                                          degrade_factor(p));
-          }
-          for (std::size_t p = 0; p < pcus_.size(); ++p) {
-            if (!elig(p) || free_at[p] > now) continue;
-            const double score = now + true_service(p, r.model, now);
-            if (score < best_score) {
-              best_score = score;
-              best = p;
-            }
-          }
-          if (std::isfinite(affine_completion) &&
-              affine_completion <= r.deadline &&
-              affine_completion <= best_score) {
-            continue; // defer: hold out for the busy affine PCU
-          }
-          if (best == pcus_.size()) {
-            // No free capable PCU either; r waits for a busy one.
-            bool any_capable = false;
-            for (std::size_t p = 0; p < pcus_.size(); ++p)
-              if (active[p] && capable(p, r.model)) any_capable = true;
-            PCNNA_CHECK_MSG(any_capable || fault_active,
-                            "no active PCU capable of model " << r.model);
-            continue;
-          }
-        }
-      } else {
-        // FIFO policies: best free eligible PCU.
-        best = pick_fifo(r.model, now, elig);
-        if (best == pcus_.size()) {
-          // Only reachable multi-model under kCapabilityAware: every PCU
-          // capable of r.model is busy, so r waits while less demanding
-          // pending requests may still dispatch.
-          bool any_capable = false;
-          for (std::size_t p = 0; p < pcus_.size(); ++p)
-            if (active[p] && capable(p, r.model)) any_capable = true;
-          PCNNA_CHECK_MSG(any_capable || fault_active,
-                          "no active PCU capable of model " << r.model);
-          continue;
-        }
-      }
-
-      if (options.shed_expired &&
-          now + true_service(best, r.model, now) > r.deadline) {
-        // Predicted completion blows the SLO: reject now, at the moment
-        // the dispatch decision is made, instead of serving uselessly
-        // late.
-        result.shed.shed += 1;
-        result.shed.per_tenant[r.tenant] += 1;
-        result.shed.decisions.push_back(
-            {r.id, r.tenant, r.priority, r.arrival, r.deadline, now});
-      } else {
-        dispatch(r, best, now);
-      }
-      pending.erase(it);
-      acted = true;
-      break;
-    }
-
-    if (!acted) {
-      // Every pending request deferred: nothing can start at `now`.
-      // Advance to the next event that can change the picture — the next
-      // arrival, the next strictly-later free time of an eligible PCU, or
-      // (with faults) the next retry expiry or health event.
-      double next_event =
-          std::min(next_arrival(), index.next_free_after(now));
-      if (fault_active) {
-        if (!retries.empty())
-          next_event = std::min(next_event, retries.begin()->ready);
-        next_event = std::min(next_event, next_health_event());
-      }
-      if (!std::isfinite(next_event)) {
-        PCNNA_CHECK_MSG(fault_active,
-                        "admission deadlock: every pending request is "
-                        "deferred with no future event");
-        // No PCU will ever become dispatchable for what remains.
-        drain_all_lost(pending);
+        s.pending.erase(it);
+        acted = true;
         break;
       }
-      step_to(next_event);
+    } else {
+      // The whole fleet is dead, quarantined or parked.
+      PCNNA_CHECK_MSG(s.fault_active,
+                      "no active capable PCU to dispatch to — autoscaler "
+                      "min_active excludes every capable PCU");
     }
-  }
+    if (acted) continue;
 
-  if (fault_active) {
-    // Repairs complete even after the last request — fire every remaining
-    // health timer for the availability/repair accounting. (Remaining
-    // fault *events* are past the end of the simulated timeline and never
-    // fire.)
-    while (true) {
-      const auto [tt, tp] = next_timer();
-      if (!std::isfinite(tt)) break;
-      advance_to(tt);
-      fire_timer(tp, tt);
+    // Nothing can start at `now`: advance to the next event that can
+    // change the picture — including the next strictly-later free time of
+    // a listed PCU. If nothing ever will, what remains is lost.
+    const double next = std::min(s.next_event(), s.index.next_free_after(s.now));
+    if (!std::isfinite(next)) {
+      PCNNA_CHECK_MSG(s.fault_active,
+                      "admission deadlock: every pending request is "
+                      "deferred with no future event");
+      s.drain_all_lost();
+      break;
     }
-    // Drop destroyed attempts from the schedule (stable), keeping only
-    // the attempt that actually served each request.
-    std::vector<ScheduledService> kept;
-    kept.reserve(result.schedule.size());
-    for (std::size_t i = 0; i < result.schedule.size(); ++i) {
-      if (!cancelled[i]) kept.push_back(result.schedule[i]);
-    }
-    result.schedule = std::move(kept);
-    for (const ScheduledService& s : result.schedule) {
-      if (s.attempts > 1) result.fault.recovered_requests += 1;
-    }
+    s.step_to(next);
   }
-
-  // Close the mean-active integral at the makespan (the last completion —
-  // destroyed attempts included — or the last event when everything was
-  // shed).
-  double makespan = last_event;
-  for (const ScheduledService& s : result.schedule)
-    makespan = std::max(makespan, s.completion);
-  if (fault_active) {
-    for (const FaultedAttempt& a : result.fault.attempts)
-      makespan = std::max(makespan, a.end);
-  }
-  advance_to(makespan);
-  // Without the autoscaler the whole pool is active throughout; report it
-  // exactly rather than as a sum of active_count * dt pieces.
-  result.autoscaler.mean_active =
-      scaler.enabled && makespan > 0.0 ? active_integral / makespan
-                                       : static_cast<double>(active_count);
-
-  if (fault_active) {
-    // Close every health dwell bucket at the makespan and derive per-PCU
-    // availability (the in-service fraction of the run).
-    for (std::size_t p = 0; p < pcus_.size(); ++p) {
-      close_health(p, makespan);
-      PcuHealthStats& hs = result.fault.per_pcu[p];
-      hs.availability =
-          makespan > 0.0
-              ? (hs.healthy_time + hs.degraded_time) / makespan
-              : 1.0;
-    }
-  }
-  return result;
+  return s.finish();
 }
 
 } // namespace pcnna::runtime

@@ -198,6 +198,76 @@ TEST(FaultTrace, ValidateRejectsBadSchedules) {
   runtime::validate_fault_schedule({}); // empty is fine
 }
 
+// Every FaultOptions field the admission loop relies on is rejected when
+// NaN, negative or out of range, with an error that names the field.
+TEST(FaultOptionsValidation, RejectsEachBadFieldByName) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  runtime::FaultOptions valid;
+  valid.schedule = {{1.0, 1, FaultKind::kCrash, 1.0}};
+  valid.detection_latency = 0.5;
+  valid.repair_time = 2.0;
+  valid.retry.backoff_base = 0.25;
+  valid.retry.backoff_factor = 1.0;
+  runtime::validate_fault_options(valid, 2);
+
+  using Set = void (*)(runtime::FaultOptions&, double);
+  const Set pcu = [](runtime::FaultOptions& o, double v) {
+    o.schedule[0].pcu = static_cast<std::size_t>(v);
+  };
+  const Set latency = [](runtime::FaultOptions& o, double v) {
+    o.detection_latency = v;
+  };
+  const Set repair = [](runtime::FaultOptions& o, double v) {
+    o.repair_time = v;
+  };
+  const Set base = [](runtime::FaultOptions& o, double v) {
+    o.retry.backoff_base = v;
+  };
+  const Set factor = [](runtime::FaultOptions& o, double v) {
+    o.retry.backoff_factor = v;
+  };
+  const struct {
+    const char* field;
+    Set set;
+    double value;
+  } cases[] = {
+      {"schedule[0].pcu", pcu, 2.0},
+      {"detection_latency", latency, nan},
+      {"detection_latency", latency, -1e-9},
+      {"repair_time", repair, -1.0},
+      {"repair_time", repair, inf},
+      {"retry.backoff_base", base, nan},
+      {"retry.backoff_base", base, -0.5},
+      {"retry.backoff_factor", factor, 0.5},
+      {"retry.backoff_factor", factor, nan},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.value));
+    runtime::FaultOptions bad = valid;
+    c.set(bad, c.value);
+    try {
+      runtime::validate_fault_options(bad, 2);
+      ADD_FAILURE() << "no error thrown";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string::npos,
+                std::string(e.what()).find(std::string("FaultOptions::") +
+                                           c.field))
+          << e.what();
+    }
+  }
+}
+
+TEST(FaultOptionsValidation, AdmissionRejectsBadOptions) {
+  const Served s = make_served(1);
+  runtime::PcuPool pool(2, PcnnaConfig::paper_defaults(),
+                        core::TimingFidelity::kFull, s.net, s.weights);
+  runtime::AdmissionOptions o;
+  o.faults.schedule = {{1.0, 0, FaultKind::kCrash, 1.0}};
+  o.faults.retry.backoff_factor = 0.5;
+  EXPECT_THROW(pool.simulate_admission({}, o), Error);
+}
+
 // --- Crash, retry, and bit-identical re-execution. ---
 
 TEST(FaultTolerance, CrashVictimRetriesAndServesBitIdentically) {
