@@ -308,10 +308,11 @@ struct AdmissionState {
   const std::vector<Pcu>& pcus;
   const std::vector<std::size_t>& min_split_passes;
   const std::vector<InferenceRequest>& requests;
-  const AdmissionOptions& options;
   const FaultOptions& faults;
   const AutoscalerPolicy& scaler;
   const DispatchPolicy policy;
+  /// kCapabilityAware and kModelAffinity: only capable PCUs serve a model.
+  const bool capability_bound;
   const bool double_buffer;
   // fault_active == false is the contract that every path is bit-identical
   // to a run without fault machinery: all fault state stays inert.
@@ -480,22 +481,18 @@ struct AdmissionState {
 
   // --- eligibility ---
 
-  /// Under kCapabilityAware and kModelAffinity a PCU must map model m with
-  /// the fleet-minimum number of segmented bank passes.
+  /// A capability-bound policy's PCU must map model m with the
+  /// fleet-minimum number of segmented bank passes.
   bool capable(std::size_t p, std::uint32_t m) const {
-    if (policy != DispatchPolicy::kCapabilityAware &&
-        policy != DispatchPolicy::kModelAffinity)
-      return true;
-    return pcus[p].channel_split_passes(m) == min_split_passes[m];
+    return !capability_bound ||
+           pcus[p].channel_split_passes(m) == min_split_passes[m];
   }
 
   /// Health-aware capability downgrade: under the capability-sensitive
   /// policies a degraded PCU no longer meets the bar — unless no healthy
   /// capable PCU is dispatchable for model m, when degraded beats none.
   bool allow_degraded(std::uint32_t m) const {
-    if (!fault_active || (policy != DispatchPolicy::kCapabilityAware &&
-                          policy != DispatchPolicy::kModelAffinity))
-      return true;
+    if (!fault_active || !capability_bound) return true;
     for (std::size_t p = 0; p < pcus.size(); ++p) {
       if (active[p] && !excluded[p] && capable(p, m) &&
           health[p] == HealthState::kHealthy)
@@ -685,6 +682,7 @@ struct AdmissionState {
     if (!fault_active) return;
     const std::size_t idx = result.schedule.size() - 1;
     cancelled.push_back(0);
+    // The first failed PCU the attempt runs on (else its last PCU).
     std::size_t dead = s.pcu;
     for (const StageService& st : s.stages) {
       dead = st.pcu;
@@ -714,30 +712,23 @@ struct AdmissionState {
   /// Dispatch r through group gi along `chain`: every stage PCU occupied,
   /// every stage pinned.
   void dispatch_chain(const PendingRequest& r, std::size_t gi) {
-    ScheduledService entry;
+    double pin = 0.0;
     double handoff = 0.0;
     for (std::size_t j = 0; j < chain.size(); ++j) {
       occupy(chain[j].pcu, r.model, chain[j].completion);
       pinned[gi][j] = 1;
-      entry.warmup += chain[j].pin;
+      pin += chain[j].pin;
       handoff += chain[j].handoff;
     }
-    entry.id = r.id;
-    entry.pcu = chain.front().pcu;
-    entry.arrival = r.arrival;
-    entry.start = chain.front().start;
-    entry.completion = chain.back().completion;
-    entry.tenant = r.tenant;
-    entry.priority = r.priority;
-    entry.deadline = r.deadline;
-    entry.model = r.model;
-    entry.attempts = r.attempts;
-    entry.stages = std::move(chain);
     result.pipeline.pipelined_requests += 1;
-    result.pipeline.stage_spans += entry.stages.size();
-    result.pipeline.pin_time += entry.warmup;
+    result.pipeline.stage_spans += chain.size();
+    result.pipeline.pin_time += pin;
     result.pipeline.handoff_time += handoff;
-    commit(r, std::move(entry));
+    const StageService head = chain.front();
+    const double completion = chain.back().completion;
+    commit(r, {r.id, head.pcu, r.arrival, head.start, completion, pin,
+               r.tenant, r.priority, r.deadline, r.model, 0.0, false,
+               r.attempts, std::move(chain)});
   }
 
   /// Reject r now: its predicted completion blows its deadline.
@@ -1150,10 +1141,11 @@ AdmissionState::AdmissionState(const PcuPool& pool,
       pcus(pcus),
       min_split_passes(min_split_passes),
       requests(requests),
-      options(options),
       faults(options.faults),
       scaler(options.autoscaler),
       policy(options.policy),
+      capability_bound(policy == DispatchPolicy::kCapabilityAware ||
+                       policy == DispatchPolicy::kModelAffinity),
       double_buffer(options.double_buffer),
       fault_active(options.faults.enabled()),
       pipelined(options.policy == DispatchPolicy::kPipeline),
