@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -164,8 +165,11 @@ TEST(StagePartitionerTest, BalanceBoundOnUniformLayers) {
   // Three identical conv layers into 3 stages: perfectly balanced, so the
   // bottleneck-to-lightest ratio is exactly 1.
   nn::Network net("uniform", nn::Shape4{1, 16, 8, 8});
-  for (int i = 0; i < 3; ++i)
-    net.add_conv({"c" + std::to_string(i), 8, 3, 1, 1, 16, 16});
+  for (int i = 0; i < 3; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    net.add_conv({name, 8, 3, 1, 1, 16, 16});
+  }
   const StagePartitioner part(PcnnaConfig::paper_defaults());
   const std::vector<StageRange> ranges = part.partition(net, 3);
   std::size_t lo = ranges[0].cost, hi = ranges[0].cost;
