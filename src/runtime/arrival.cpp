@@ -12,16 +12,17 @@
 
 namespace pcnna::runtime {
 
-void validate_arrival_schedule(const ArrivalSchedule& arrivals) {
+void validate_arrival_schedule(std::span<const double> arrivals) {
   double prev = 0.0;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     PCNNA_CHECK_MSG(std::isfinite(arrivals[i]) && arrivals[i] >= 0.0,
-                    "arrival " << i << " has invalid timestamp "
+                    "request " << i << " has invalid arrival timestamp "
                                << arrivals[i]);
     PCNNA_CHECK_MSG(arrivals[i] >= prev,
-                    "arrival " << i << " at t=" << arrivals[i]
-                               << " precedes arrival " << i - 1 << " at t="
-                               << prev << " (schedule must be nondecreasing)");
+                    "out-of-order arrival: request "
+                        << i << " at t=" << arrivals[i] << " precedes request "
+                        << i - 1 << " at t=" << prev
+                        << " (arrivals must be nondecreasing; sort the trace)");
     prev = arrivals[i];
   }
 }

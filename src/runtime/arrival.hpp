@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,10 @@ namespace pcnna::runtime {
 /// (validate_arrival_schedule checks both).
 using ArrivalSchedule = std::vector<double>;
 
-/// Throw pcnna::Error unless every timestamp is finite, nonnegative, and
-/// nondecreasing. All open-loop entry points call this on their input.
-void validate_arrival_schedule(const ArrivalSchedule& arrivals);
+/// Throw pcnna::Error, naming the request index, unless every timestamp is
+/// finite, nonnegative, and nondecreasing. Every admission run checks its
+/// arrivals with it, once, at the boundary.
+void validate_arrival_schedule(std::span<const double> arrivals);
 
 /// All `count` requests arrive at t = 0: the degenerate schedule under
 /// which the open-loop admission loop reproduces the closed-batch numbers.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -50,36 +50,30 @@ BatchRunner::BatchRunner(std::vector<PcuSpec> specs, nn::Network net,
   options_.num_pcus = pool_.size();
 }
 
-std::vector<InferenceRequest> BatchRunner::make_requests(
-    const std::vector<nn::Tensor>* inputs, const ArrivalSchedule& arrivals,
-    const SloSchedule& slos, const ModelSchedule& models) const {
-  PCNNA_CHECK_MSG(inputs == nullptr || inputs->size() == arrivals.size(),
-                  "open loop needs one arrival per input: "
-                      << arrivals.size() << " arrivals for "
-                      << inputs->size() << " inputs");
-  PCNNA_CHECK_MSG(slos.empty() || slos.size() == arrivals.size(),
-                  "SLO schedule covers " << slos.size() << " requests but "
-                                         << arrivals.size() << " arrive");
-  PCNNA_CHECK_MSG(models.empty() || models.size() == arrivals.size(),
-                  "model schedule covers " << models.size() << " requests but "
-                                           << arrivals.size() << " arrive");
-  validate_arrival_schedule(arrivals);
-
-  std::vector<InferenceRequest> requests(arrivals.size());
-  for (std::size_t id = 0; id < arrivals.size(); ++id) {
+std::vector<RequestResult> BatchRunner::serve_schedule(
+    const std::vector<nn::Tensor>& inputs, const SloSchedule& slos,
+    const ModelSchedule& models, const AdmissionResult& admission,
+    double& wall_seconds) {
+  std::vector<InferenceRequest> requests(inputs.size());
+  for (std::size_t id = 0; id < inputs.size(); ++id) {
     InferenceRequest& request = requests[id];
     request.id = id;
     request.seed = derive_request_seed(options_.seed, id);
-    request.arrival_time = arrivals[id];
-    if (!slos.empty()) {
-      request.tenant = slos[id].tenant;
-      request.priority = slos[id].priority;
-      request.deadline = slos[id].deadline;
-    }
+    if (!slos.empty()) request.tenant = slos[id].tenant;
     if (!models.empty()) request.model_id = models[id];
-    if (inputs != nullptr) request.input = (*inputs)[id];
+    request.input = inputs[id];
   }
-  return requests;
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<RequestResult> results = pool_.serve(
+      std::move(requests), admission.schedule, options_.simulate_values);
+  wall_seconds = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wall_start)
+                     .count();
+  for (const ShedDecision& d : admission.shed.decisions)
+    results[static_cast<std::size_t>(d.id)].shed = true;
+  for (const RequestLoss& l : admission.fault.losses)
+    results[static_cast<std::size_t>(l.id)].failed = true;
+  return results;
 }
 
 AdmissionOptions BatchRunner::admission_options() const {
@@ -108,20 +102,18 @@ std::vector<RequestResult> BatchRunner::run(
   // degenerate all-at-t=0 arrival process, so the same admission loop
   // that prices open-loop serving prices it — and assigns every request
   // its PCU.
-  std::vector<InferenceRequest> requests =
-      make_requests(&inputs, closed_batch_arrivals(batch), {}, {});
-  const AdmissionResult admission =
-      pool_.simulate_admission(requests, admission_options());
-  const std::vector<ScheduledService>& schedule = admission.schedule;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<RequestResult> results = pool_.serve(
-      std::move(requests), schedule, options_.simulate_values);
-  const auto wall_end = std::chrono::steady_clock::now();
-  for (const RequestLoss& l : admission.fault.losses)
-    results[static_cast<std::size_t>(l.id)].failed = true;
+  const ArrivalSchedule arrivals = closed_batch_arrivals(batch);
+  const AdmissionOptions options = admission_options();
+  AdmissionResult admission =
+      pool_.run_admission({arrivals, {}, {}, {}}, options);
+  if (options.telemetry)
+    options.telemetry->record_admission(admission, pool_, options);
+  double wall_seconds = 0.0;
+  std::vector<RequestResult> results =
+      serve_schedule(inputs, {}, {}, admission, wall_seconds);
 
   if (report) {
+    ScheduleColumns& columns = admission.columns;
     const Pcu& reference = pool_.pcu(0);
     FleetReport r;
     r.pcus = pool_.size();
@@ -139,12 +131,13 @@ std::vector<RequestResult> BatchRunner::run(
     r.sequential_rps = r.request_time_serial > 0.0
                            ? 1.0 / r.request_time_serial
                            : 0.0;
-    double latency_sum = 0.0;
-    for (const ScheduledService& s : schedule) {
-      latency_sum += s.completion;
-      r.max_latency = std::max(r.max_latency, s.completion);
-    }
-    r.makespan = fill_breakdowns(schedule, r.per_pcu);
+    // Every request arrives at t = 0: its latency is its completion, and
+    // the longest one is the makespan.
+    const double latency_sum = std::accumulate(
+        columns.latency.begin(), columns.latency.end(), 0.0);
+    r.max_latency = columns.makespan;
+    r.makespan = columns.makespan;
+    r.per_pcu = std::move(columns.per_pcu);
     r.makespan_sequential =
         static_cast<double>(batch) * r.request_time_serial;
     r.throughput_rps =
@@ -158,8 +151,7 @@ std::vector<RequestResult> BatchRunner::run(
     for (const RequestResult& result : results) r.total_energy += result.energy;
     r.energy_per_request =
         batch == 0 ? 0.0 : r.total_energy / static_cast<double>(batch);
-    r.wall_seconds =
-        std::chrono::duration<double>(wall_end - wall_start).count();
+    r.wall_seconds = wall_seconds;
     *report = std::move(r);
   }
   return results;
@@ -169,8 +161,10 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
     const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
     OpenLoopReport* report, const SloSchedule& slos,
     const ModelSchedule& models) {
-  std::vector<InferenceRequest> requests =
-      make_requests(&inputs, arrivals, slos, models);
+  PCNNA_CHECK_MSG(inputs.size() == arrivals.size(),
+                  "open loop needs one arrival per input: "
+                      << arrivals.size() << " arrivals for " << inputs.size()
+                      << " inputs");
   // Arrival times shape only the virtual-time schedule, never the
   // per-request seeds: each request runs on the PCU the schedule assigned
   // it, so on a homogeneous fleet the outputs stay bit-identical to
@@ -178,25 +172,20 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
   // schedule also decides which requests run at all (shed and fault-lost
   // ids stay placeholders).
   const AdmissionOptions options = admission_options();
-  AdmissionResult admission = pool_.run_admission(requests, options);
-
-  const std::size_t batch = inputs.size();
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<RequestResult> results = pool_.serve(
-      std::move(requests), admission.schedule, options_.simulate_values);
-  const auto wall_end = std::chrono::steady_clock::now();
-  for (const ShedDecision& d : admission.shed.decisions)
-    results[static_cast<std::size_t>(d.id)].shed = true;
-  for (const RequestLoss& l : admission.fault.losses)
-    results[static_cast<std::size_t>(l.id)].failed = true;
+  AdmissionResult admission =
+      pool_.run_admission({arrivals, slos, models, {}}, options);
+  double wall_seconds = 0.0;
+  std::vector<RequestResult> results =
+      serve_schedule(inputs, slos, models, admission, wall_seconds);
 
   if (report || options_.telemetry) {
+    // The functional energy of what actually ran, in request-id order,
+    // replaces the analytical column.
+    double& energy = admission.columns.energy;
+    energy = 0.0;
+    for (const RequestResult& result : results) energy += result.energy;
     OpenLoopReport r = summarize_schedule(admission, arrivals);
-    for (const RequestResult& result : results) r.total_energy += result.energy;
-    r.energy_per_request =
-        batch == 0 ? 0.0 : r.total_energy / static_cast<double>(batch);
-    r.wall_seconds =
-        std::chrono::duration<double>(wall_end - wall_start).count();
+    r.wall_seconds = wall_seconds;
     if (options_.telemetry) {
       options_.telemetry->record_admission(std::move(admission), pool_,
                                            options);
@@ -211,19 +200,14 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                                                const SloSchedule& slos,
                                                const ModelSchedule& models) {
+  // Timing-only: admitted straight from the schedules, with the
+  // analytical per-request energy of the PCU each request was dispatched
+  // to, which the functional path reproduces (values never change layer
+  // energy). Shed requests burn no energy.
   const AdmissionOptions options = admission_options();
-  AdmissionResult admission = pool_.run_admission(
-      make_requests(nullptr, arrivals, slos, models), options);
+  AdmissionResult admission =
+      pool_.run_admission({arrivals, slos, models, {}}, options);
   OpenLoopReport r = summarize_schedule(admission, arrivals);
-  // Timing-only energy: the per-request analytical total of the PCU each
-  // request was dispatched to, which the functional path reproduces
-  // (values never change layer energy). Shed requests burn no energy.
-  for (const ScheduledService& s : admission.schedule)
-    r.total_energy += pool_.pcu(s.pcu).request_energy(s.model);
-  r.energy_per_request = r.requests == 0
-                             ? 0.0
-                             : r.total_energy /
-                                   static_cast<double>(r.requests);
   if (options_.telemetry) {
     // Summarized, so the result can be handed over rather than copied.
     options_.telemetry->record_admission(std::move(admission), pool_,
@@ -233,47 +217,12 @@ OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
   return r;
 }
 
-double BatchRunner::fill_breakdowns(
-    const std::vector<ScheduledService>& schedule,
-    std::vector<PcuBreakdown>& out) const {
-  out.assign(pool_.size(), PcuBreakdown{});
-  for (std::size_t p = 0; p < pool_.size(); ++p)
-    out[p].tag = pool_.pcu(p).tag();
-  double makespan = 0.0;
-  for (const ScheduledService& s : schedule) {
-    if (!s.stages.empty()) {
-      // Pipelined request: the request count goes to the head PCU, but
-      // each stage span is busy time on the PCU that actually ran it (the
-      // whole-chain completion - start would overcount the head, which is
-      // busy only for its own stage). Stage pins land as warmup on their
-      // own PCU; pipelined service never swaps.
-      out[s.pcu].requests += 1;
-      for (const StageService& st : s.stages) {
-        out[st.pcu].busy_time += st.completion - st.start;
-        out[st.pcu].warmup_time += st.pin;
-      }
-      makespan = std::max(makespan, s.completion);
-      continue;
-    }
-    PcuBreakdown& b = out[s.pcu];
-    b.requests += 1;
-    b.busy_time += s.completion - s.start;
-    b.warmup_time += s.warmup;
-    if (s.swapped) b.swaps += 1;
-    b.swap_time += s.swap;
-    makespan = std::max(makespan, s.completion);
-  }
-  if (makespan > 0.0)
-    for (PcuBreakdown& b : out) b.utilization = b.busy_time / makespan;
-  return makespan;
-}
-
 OpenLoopReport BatchRunner::summarize_schedule(
-    const AdmissionResult& admission, const ArrivalSchedule& arrivals) const {
-  const std::vector<ScheduledService>& schedule = admission.schedule;
+    AdmissionResult& admission, const ArrivalSchedule& arrivals) const {
+  ScheduleColumns& columns = admission.columns;
   OpenLoopReport r;
   r.pcus = pool_.size();
-  r.served_requests = schedule.size();
+  r.served_requests = admission.schedule.size();
   r.shed_requests = admission.shed.shed;
   r.failed_requests = admission.fault.losses.size();
   r.fault = admission.fault;
@@ -317,39 +266,12 @@ OpenLoopReport BatchRunner::summarize_schedule(
                       ? 0.0
                       : r.offered_rps / r.fleet_capacity_rps;
 
-  std::vector<double> latencies;
-  std::vector<double> waits;
-  std::vector<double> retry_latencies;
-  latencies.reserve(schedule.size());
-  waits.reserve(schedule.size());
-  double wait_sum = 0.0;
-  // Per-tenant SLO slices only for runs that actually carried SLO metadata
-  // — legacy reports keep their trivial defaults. Found in this pass, so
-  // a legacy run walks its schedule once here rather than twice.
-  bool slo_aware = admission.shed.shed > 0;
-  for (const ScheduledService& s : schedule) {
-    latencies.push_back(s.completion - s.arrival);
-    waits.push_back(s.start - s.arrival);
-    wait_sum += s.start - s.arrival;
-    // A served request that needed retries carries its original arrival,
-    // so its sojourn includes every destroyed attempt and backoff delay —
-    // the latency tail fault tolerance adds.
-    if (s.attempts > 1) retry_latencies.push_back(s.completion - s.arrival);
-    slo_aware = slo_aware || s.tenant != 0 ||
-                s.priority != PriorityClass::kStandard ||
-                std::isfinite(s.deadline);
-  }
-  // Shed requests sat in the queue from arrival to the shed decision;
-  // that residency is real queue occupancy even though they were never
-  // served, so it counts toward the time-averaged depth (but not toward
-  // the served-latency distributions).
-  for (const ShedDecision& d : admission.shed.decisions)
-    wait_sum += d.decision_time - d.arrival;
-  r.latency = summarize_distribution(std::move(latencies));
-  r.queue_wait = summarize_distribution(std::move(waits));
-  r.retry_latency = summarize_distribution(std::move(retry_latencies));
+  r.latency = summarize_distribution(std::move(columns.latency));
+  r.queue_wait = summarize_distribution(std::move(columns.wait));
+  r.retry_latency = summarize_distribution(std::move(columns.retry_latency));
 
-  r.makespan = fill_breakdowns(schedule, r.per_pcu);
+  r.makespan = columns.makespan;
+  r.per_pcu = std::move(columns.per_pcu);
   for (std::size_t p = 0;
        p < r.per_pcu.size() && p < admission.fault.per_pcu.size(); ++p) {
     r.per_pcu[p].lost_attempts = admission.fault.per_pcu[p].lost_attempts;
@@ -363,53 +285,52 @@ OpenLoopReport BatchRunner::summarize_schedule(
   if (r.makespan > 0.0) {
     r.achieved_rps = static_cast<double>(r.served_requests) / r.makespan;
     // Little's law on the wait room: time-averaged queue depth equals
-    // total waiting time over the observation window.
+    // total waiting time over the observation window. Shed requests sat
+    // in the queue from arrival to the shed decision; that residency is
+    // real queue occupancy even though they were never served.
+    double wait_sum = columns.wait_sum;
+    for (const ShedDecision& d : admission.shed.decisions)
+      wait_sum += d.decision_time - d.arrival;
     r.mean_queue_depth = wait_sum / r.makespan;
   }
 
-  if (slo_aware) {
-    std::map<std::uint32_t, TenantBreakdown> tenants;
-    std::map<std::uint32_t, std::vector<double>> tenant_latencies;
-    for (const ScheduledService& s : schedule) {
-      TenantBreakdown& t = tenants[s.tenant];
-      t.tenant = s.tenant;
-      t.requests += 1;
-      t.served += 1;
-      if (s.completion > s.deadline) t.slo_misses += 1;
-      tenant_latencies[s.tenant].push_back(s.completion - s.arrival);
-    }
-    for (const ShedDecision& d : admission.shed.decisions) {
-      TenantBreakdown& t = tenants[d.tenant];
-      t.tenant = d.tenant;
-      t.requests += 1;
-      t.shed += 1;
-      t.slo_misses += 1; // a shed request never meets its SLO
-    }
-    for (const RequestLoss& l : admission.fault.losses) {
-      TenantBreakdown& t = tenants[l.tenant];
-      t.tenant = l.tenant;
-      t.requests += 1;
-      t.failed += 1;
-      t.slo_misses += 1; // a destroyed request never meets its SLO
-    }
-    std::size_t misses = 0;
-    for (auto& [tenant, t] : tenants) {
-      misses += t.slo_misses;
-      t.slo_attainment =
-          t.requests == 0
-              ? 1.0
-              : static_cast<double>(t.requests - t.slo_misses) /
-                    static_cast<double>(t.requests);
-      t.latency = summarize_distribution(std::move(tenant_latencies[tenant]));
-      r.per_tenant.push_back(std::move(t));
-    }
-    r.slo_attainment = r.requests == 0
-                           ? 1.0
-                           : static_cast<double>(r.requests - misses) /
-                                 static_cast<double>(r.requests);
+  r.total_energy = columns.energy;
+  r.energy_per_request = r.requests == 0
+                             ? 0.0
+                             : r.total_energy /
+                                   static_cast<double>(r.requests);
+
+  // Per-tenant SLO slices only for runs that actually carried SLO metadata
+  // — legacy reports keep their trivial defaults.
+  if (admission.shed.shed == 0 && !columns.slo_metadata) return r;
+  // A shed or fault-destroyed request never meets its SLO.
+  const auto missed = [&](std::uint32_t tenant) -> TenantBreakdown& {
+    TenantBreakdown& t = columns.tenants[tenant];
+    t.slo_misses += 1;
+    return t;
+  };
+  for (const ShedDecision& d : admission.shed.decisions)
+    missed(d.tenant).shed += 1;
+  for (const RequestLoss& l : admission.fault.losses)
+    missed(l.tenant).failed += 1;
+  std::size_t misses = 0;
+  for (auto& [tenant, t] : columns.tenants) {
+    t.tenant = tenant;
+    t.requests = t.served + t.shed + t.failed;
+    misses += t.slo_misses;
+    t.slo_attainment =
+        t.requests == 0
+            ? 1.0
+            : static_cast<double>(t.requests - t.slo_misses) /
+                  static_cast<double>(t.requests);
+    t.latency =
+        summarize_distribution(std::move(columns.tenant_latency[tenant]));
+    r.per_tenant.push_back(std::move(t));
   }
-  // Energy is filled by the caller: run_open_loop sums the functional
-  // RequestResults, simulate_open_loop the analytical per-request totals.
+  r.slo_attainment = r.requests == 0
+                         ? 1.0
+                         : static_cast<double>(r.requests - misses) /
+                               static_cast<double>(r.requests);
   return r;
 }
 

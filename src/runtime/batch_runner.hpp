@@ -109,34 +109,6 @@ struct BatchRunnerOptions {
   std::size_t engine_threads = 0;
 };
 
-/// Per-PCU slice of the deterministic virtual-time schedule, reported by
-/// both FleetReport and OpenLoopReport so fleet skew is observable. All
-/// times are simulated seconds.
-struct PcuBreakdown {
-  /// The PcuSpec's capability tag (empty for the homogeneous constructor).
-  std::string tag;
-  /// Requests this virtual PCU served.
-  std::size_t requests = 0;
-  /// Total time in service (completion - start summed over its requests).
-  double busy_time = 0.0;
-  /// Portion of busy_time spent re-filling the double-buffer pipeline
-  /// (warmup charges; 0 without double buffering).
-  double warmup_time = 0.0;
-  /// busy_time / makespan, in [0, 1]. 0 when the makespan is 0.
-  double utilization = 0.0;
-  /// Weight-bank swaps this PCU paid: dispatches that reprogrammed it
-  /// from a different model (ScheduledService::swapped).
-  std::size_t swaps = 0;
-  /// Portion of busy_time spent on those swaps [s].
-  double swap_time = 0.0;
-  /// Service attempts injected faults destroyed on this PCU (crash losses
-  /// plus corrupted transients; 0 on fault-free runs).
-  std::size_t lost_attempts = 0;
-  /// Service time those lost attempts burned before dying [s]. Not part of
-  /// busy_time: the schedule only keeps attempts that completed.
-  double lost_time = 0.0;
-};
-
 /// Fleet-level serving summary. All times are simulated hardware seconds
 /// unless suffixed _wall. The single-request reference fields
 /// (request_time_serial, request_interval, overlap_speedup,
@@ -185,25 +157,6 @@ struct FleetReport {
   /// Host seconds spent actually simulating the batch (informational; on a
   /// multi-core host this is where N worker threads pay off).
   double wall_seconds = 0.0;
-};
-
-/// Per-tenant slice of an SLO-aware open-loop run. A request meets its SLO
-/// when it is served and completes by its deadline (+inf deadlines always
-/// count as met); shed requests always count as missed.
-struct TenantBreakdown {
-  std::uint32_t tenant = 0;
-  /// Offered requests (served + shed).
-  std::size_t requests = 0;
-  std::size_t served = 0;
-  std::size_t shed = 0;
-  /// Requests injected faults permanently destroyed (0 without faults).
-  std::size_t failed = 0;
-  /// Served-late plus shed plus fault-failed.
-  std::size_t slo_misses = 0;
-  /// (requests - slo_misses) / requests; 1.0 for an empty tenant.
-  double slo_attainment = 1.0;
-  /// Sojourn latency of the *served* requests [s].
-  DistributionSummary latency;
 };
 
 /// Open-loop serving summary. All times are simulated hardware seconds
@@ -407,26 +360,25 @@ class BatchRunner {
                            const std::string& title = "open-loop serving");
 
  private:
-  /// Validate the schedules and build the dense request vector (ids,
-  /// SplitMix64 seeds, arrivals, SLO metadata, model targets) every entry
-  /// point shares. `inputs` null means timing-only: the requests carry
-  /// empty tensors; otherwise there must be one input per arrival.
-  std::vector<InferenceRequest> make_requests(
-      const std::vector<nn::Tensor>* inputs, const ArrivalSchedule& arrivals,
-      const SloSchedule& slos, const ModelSchedule& models) const;
+  /// Run the functional work of an admitted stream on the PCUs its
+  /// schedule names: request i gets inputs[i], its SplitMix64 seed, tenant
+  /// and model (admission has validated the schedules and consumed the
+  /// timing fields). Shed and fault-lost ids come back as flagged
+  /// placeholders; `wall_seconds` is the host time of the serve.
+  std::vector<RequestResult> serve_schedule(
+      const std::vector<nn::Tensor>& inputs, const SloSchedule& slos,
+      const ModelSchedule& models, const AdmissionResult& admission,
+      double& wall_seconds);
 
   /// options_'s dispatch, shedding, autoscaler, fault, and telemetry
   /// settings as admission-loop options.
   AdmissionOptions admission_options() const;
 
-  /// Derive every schedule-dependent OpenLoopReport field.
-  OpenLoopReport summarize_schedule(const AdmissionResult& admission,
+  /// The OpenLoopReport of one admission run: the capacity fields from the
+  /// pool, everything else from the run's outcomes and its report columns
+  /// (moved out of `admission`).
+  OpenLoopReport summarize_schedule(AdmissionResult& admission,
                                     const ArrivalSchedule& arrivals) const;
-
-  /// Fill `out` (sized pool_.size()) from the schedule; returns the
-  /// makespan so both report types share the accounting.
-  double fill_breakdowns(const std::vector<ScheduledService>& schedule,
-                         std::vector<PcuBreakdown>& out) const;
 
   nn::Network net_;
   nn::NetWeights weights_;

@@ -184,8 +184,8 @@ struct FaultOptions {
 /// a fleet of `num_pcus` PCUs: a valid schedule (validate_fault_schedule)
 /// whose events target PCUs below num_pcus, finite nonnegative
 /// detection_latency, repair_time and retry.backoff_base, and a finite
-/// retry.backoff_factor >= 1. simulate_admission calls it on every run with
-/// a non-empty schedule.
+/// retry.backoff_factor >= 1. simulate_admission calls it on every run,
+/// whether or not the schedule is empty.
 void validate_fault_options(const FaultOptions& faults, std::size_t num_pcus);
 
 /// Health of one PCU as tracked by the admission loop.

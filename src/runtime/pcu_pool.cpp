@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "core/planner.hpp"
 #include "core/stage_partitioner.hpp"
+#include "runtime/arrival.hpp"
 #include "runtime/free_time_index.hpp"
 #include "runtime/telemetry.hpp"
 
@@ -198,9 +199,8 @@ PcuPool::PcuPool(std::size_t num_pcus, const core::PcnnaConfig& config,
 
 namespace {
 
-/// Scheduling-relevant slice of an InferenceRequest, parked in the
-/// event-driven pending set between arrival and dispatch (the input tensor
-/// never affects timing, so it is not carried).
+/// One request of the AdmissionSource, parked in the event-driven pending
+/// set between arrival and dispatch.
 struct PendingRequest {
   std::uint64_t id = 0;
   double arrival = 0.0;
@@ -301,13 +301,13 @@ struct AdmissionState {
   AdmissionState(const PcuPool& pool, const std::vector<Pcu>& pcus,
                  const std::vector<std::size_t>& min_split_passes,
                  const std::vector<PipelineGroup>& built_groups,
-                 const std::vector<InferenceRequest>& requests,
+                 const AdmissionSource& source,
                  const AdmissionOptions& options);
 
   const PcuPool& pool;
   const std::vector<Pcu>& pcus;
   const std::vector<std::size_t>& min_split_passes;
-  const std::vector<InferenceRequest>& requests;
+  const AdmissionSource source;
   const FaultOptions& faults;
   const AutoscalerPolicy& scaler;
   const DispatchPolicy policy;
@@ -338,6 +338,8 @@ struct AdmissionState {
   std::size_t min_active = 0;
 
   AdmissionResult result;
+  /// Analytical request energy per (PCU, model), row-major by PCU.
+  std::vector<double> request_energy;
 
   // --- per PCU ---
   std::vector<double> free_at;
@@ -408,7 +410,7 @@ struct AdmissionState {
   /// (kModelAffinity and kPipeline reuse EDF's: without SLO metadata it
   /// degenerates to FIFO).
   std::set<PendingRequest, UrgencyOrder> pending;
-  /// The next request not yet admitted.
+  /// The next source request not yet admitted.
   std::size_t cursor = 0;
   double now = 0.0;
   double last_event = 0.0;
@@ -670,16 +672,58 @@ struct AdmissionState {
     reindex(p);
   }
 
-  /// Append a dispatched attempt whose PCUs are already occupied. With
-  /// faults it is tracked in flight — or, when it runs on a failed PCU the
-  /// dispatcher has not noticed (fault-blind, or inside the detection
-  /// window), lost at once: the dispatcher learns only at the predicted
-  /// completion that it never came back.
+  /// Entry s joins the final schedule: at commit without faults, as
+  /// finish() keeps it with them. Every column is written here, so each sum
+  /// runs in final-schedule order.
+  void keep(const ScheduledService& s) {
+    ScheduleColumns& c = result.columns;
+    c.makespan = std::max(c.makespan, s.completion);
+    const double latency = s.completion - s.arrival;
+    const double wait = s.start - s.arrival;
+    c.latency.push_back(latency);
+    c.wait.push_back(wait);
+    c.wait_sum += wait;
+    // A served retry carries its original arrival, so its sojourn includes
+    // every destroyed attempt and backoff delay.
+    if (s.attempts > 1) c.retry_latency.push_back(latency);
+    c.energy += request_energy[s.pcu * min_split_passes.size() + s.model];
+    PcuBreakdown& head = c.per_pcu[s.pcu];
+    head.requests += 1;
+    if (s.stages.empty()) {
+      head.busy_time += s.completion - s.start;
+      head.warmup_time += s.warmup;
+      head.swaps += s.swapped ? 1 : 0;
+      head.swap_time += s.swap;
+    } else {
+      // The whole-chain span would overcount the head, which is busy only
+      // for its own stage; pipelined service never swaps.
+      for (const StageService& st : s.stages) {
+        c.per_pcu[st.pcu].busy_time += st.completion - st.start;
+        c.per_pcu[st.pcu].warmup_time += st.pin;
+      }
+    }
+    if (source.slos.empty()) return;
+    c.slo_metadata = c.slo_metadata || s.tenant != 0 ||
+                     s.priority != PriorityClass::kStandard ||
+                     std::isfinite(s.deadline);
+    TenantBreakdown& t = c.tenants[s.tenant];
+    t.served += 1;
+    t.slo_misses += s.completion > s.deadline ? 1 : 0;
+    c.tenant_latency[s.tenant].push_back(latency);
+  }
+
+  /// Append a dispatched attempt whose PCUs are already occupied; without
+  /// faults it is final, and kept at once. With faults it is tracked in
+  /// flight — or, when it runs on a failed PCU the dispatcher has not
+  /// noticed (fault-blind, or inside the detection window), lost at once:
+  /// the dispatcher learns only at the predicted completion that it never
+  /// came back.
   void commit(const PendingRequest& r, ScheduledService&& entry) {
+    if (telemetry) telemetry->on_dispatch(entry.swapped, !entry.stages.empty());
+    if (!fault_active) keep(entry);
     result.schedule.push_back(std::move(entry));
-    const ScheduledService& s = result.schedule.back();
-    if (telemetry) telemetry->on_dispatch(s.swapped, !s.stages.empty());
     if (!fault_active) return;
+    const ScheduledService& s = result.schedule.back();
     const std::size_t idx = result.schedule.size() - 1;
     cancelled.push_back(0);
     // The first failed PCU the attempt runs on (else its last PCU).
@@ -980,7 +1024,15 @@ struct AdmissionState {
   // --- events and the clock ---
 
   double next_arrival() const {
-    return cursor < requests.size() ? requests[cursor].arrival_time : kInf;
+    return cursor < source.arrivals.size() ? source.arrivals[cursor] : kInf;
+  }
+
+  /// Source request k as it enters admission.
+  PendingRequest arrival(std::size_t k) const {
+    const RequestSlo slo = source.slos.empty() ? RequestSlo{} : source.slos[k];
+    return {source.ids.empty() ? k : source.ids[k], source.arrivals[k],
+            slo.tenant, slo.priority, slo.deadline,
+            source.models.empty() ? 0u : source.models[k]};
   }
 
   /// Earliest pending health timer and its PCU (ties: lowest index).
@@ -1135,12 +1187,12 @@ AdmissionState::AdmissionState(const PcuPool& pool,
                                const std::vector<Pcu>& pcus,
                                const std::vector<std::size_t>& min_split_passes,
                                const std::vector<PipelineGroup>& built_groups,
-                               const std::vector<InferenceRequest>& requests,
+                               const AdmissionSource& source,
                                const AdmissionOptions& options)
     : pool(pool),
       pcus(pcus),
       min_split_passes(min_split_passes),
-      requests(requests),
+      source(source),
       faults(options.faults),
       scaler(options.autoscaler),
       policy(options.policy),
@@ -1186,7 +1238,10 @@ AdmissionState::AdmissionState(const PcuPool& pool,
                     "autoscaler needs 1 <= min_active <= max_active, got ["
                         << min_active << ", " << max_active << "]");
   }
-  result.schedule.reserve(requests.size());
+  result.schedule.reserve(source.arrivals.size());
+  result.columns.latency.reserve(source.arrivals.size());
+  result.columns.wait.reserve(source.arrivals.size());
+  result.columns.per_pcu.resize(n);
   active_count = min_active;
   std::fill_n(active.begin(), active_count, 1);
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -1227,8 +1282,11 @@ AdmissionState::AdmissionState(const PcuPool& pool,
                      [&](std::size_t q) { return same_device(p, q); });
     device[p] = first == firsts.end() ? p : *first;
     if (device[p] == p) firsts.push_back(p);
-    for (std::uint32_t m = 0; m < min_split_passes.size(); ++m)
+    result.columns.per_pcu[p].tag = pcus[p].tag();
+    for (std::uint32_t m = 0; m < min_split_passes.size(); ++m) {
       if (capable(p, m)) serves_any[p] = 1;
+      request_energy.push_back(pcus[p].request_energy(m));
+    }
   }
   for (std::size_t p = 0; p < n; ++p) reindex(p);
 }
@@ -1249,19 +1307,22 @@ AdmissionResult AdmissionState::finish() {
     std::vector<ScheduledService> kept;
     kept.reserve(result.schedule.size());
     for (std::size_t i = 0; i < result.schedule.size(); ++i) {
-      if (!cancelled[i]) kept.push_back(std::move(result.schedule[i]));
+      if (cancelled[i]) continue;
+      kept.push_back(std::move(result.schedule[i]));
+      keep(kept.back());
+      if (kept.back().attempts > 1) result.fault.recovered_requests += 1;
     }
     result.schedule = std::move(kept);
-    for (const ScheduledService& s : result.schedule) {
-      if (s.attempts > 1) result.fault.recovered_requests += 1;
-    }
+  }
+  const double served_until = result.columns.makespan;
+  if (served_until > 0.0) {
+    for (PcuBreakdown& b : result.columns.per_pcu)
+      b.utilization = b.busy_time / served_until;
   }
 
   // Close the mean-active integral at the makespan: the last completion,
   // destroyed attempts included, or the last event when all were shed.
-  double makespan = last_event;
-  for (const ScheduledService& s : result.schedule)
-    makespan = std::max(makespan, s.completion);
+  double makespan = std::max(last_event, served_until);
   for (const FaultedAttempt& a : result.fault.attempts)
     makespan = std::max(makespan, a.end);
   advance_to(makespan);
@@ -1283,44 +1344,55 @@ AdmissionResult AdmissionState::finish() {
   return std::move(result);
 }
 
+/// The one boundary check of an admission run. The loop walks the source
+/// with one cursor and peeks the next arrival as the earliest pending one,
+/// so an unsorted trace must be rejected here rather than silently corrupt
+/// the schedule.
+void validate_source(const AdmissionSource& source, std::size_t num_models) {
+  const std::size_t n = source.arrivals.size();
+  PCNNA_CHECK_MSG(source.slos.empty() || source.slos.size() == n,
+                  "SLO schedule covers " << source.slos.size()
+                                         << " requests but " << n << " arrive");
+  PCNNA_CHECK_MSG(source.models.empty() || source.models.size() == n,
+                  "model schedule covers " << source.models.size()
+                                           << " requests but " << n
+                                           << " arrive");
+  validate_arrival_schedule(source.arrivals);
+  for (std::size_t k = 0; k < source.models.size(); ++k)
+    PCNNA_CHECK_MSG(source.models[k] < num_models,
+                    "request " << k << " targets model " << source.models[k]
+                               << " but only " << num_models
+                               << " models are registered");
+}
+
 } // namespace
 
 AdmissionResult PcuPool::simulate_admission(
     const std::vector<InferenceRequest>& requests,
     const AdmissionOptions& options) {
-  AdmissionResult result = run_admission(requests, options);
+  std::vector<double> arrivals;
+  std::vector<RequestSlo> slos;
+  std::vector<std::uint32_t> models;
+  std::vector<std::uint64_t> ids;
+  for (const InferenceRequest& r : requests) {
+    arrivals.push_back(r.arrival_time);
+    slos.push_back({r.tenant, r.priority, r.deadline});
+    models.push_back(r.model_id);
+    ids.push_back(r.id);
+  }
+  AdmissionResult result =
+      run_admission({arrivals, slos, models, ids}, options);
   if (options.telemetry)
     options.telemetry->record_admission(result, *this, options);
   return result;
 }
 
-AdmissionResult PcuPool::run_admission(
-    const std::vector<InferenceRequest>& requests,
-    const AdmissionOptions& options) {
-  // The loop walks `requests` with one cursor and peeks the next element
-  // as the earliest pending arrival, so an unsorted trace must be rejected
-  // here rather than silently corrupt the schedule.
-  double last_arrival = 0.0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const InferenceRequest& r = requests[i];
-    PCNNA_CHECK_MSG(
-        r.arrival_time >= last_arrival,
-        "out-of-order arrival: request " << i << " (id " << r.id
-            << ") arrives at t=" << r.arrival_time
-            << " but an earlier request arrives at t=" << last_arrival
-            << " — virtual-time admission needs nondecreasing "
-               "arrival_time (sort the trace)");
-    last_arrival = r.arrival_time;
-    PCNNA_CHECK_MSG(r.model_id < min_split_passes_.size(),
-                    "request " << i << " (id " << r.id << ") targets model "
-                               << r.model_id << " but only "
-                               << min_split_passes_.size()
-                               << " models are registered");
-  }
-  if (options.faults.enabled())
-    validate_fault_options(options.faults, pcus_.size());
+AdmissionResult PcuPool::run_admission(const AdmissionSource& source,
+                                       const AdmissionOptions& options) {
+  validate_source(source, min_split_passes_.size());
+  validate_fault_options(options.faults, pcus_.size());
 
-  AdmissionState s(*this, pcus_, min_split_passes_, groups_, requests,
+  AdmissionState s(*this, pcus_, min_split_passes_, groups_, source,
                    options);
   // Events are arrivals, PCU-free instants, retry expiries and health
   // events; the clock only moves forward, so the schedule is
@@ -1337,9 +1409,7 @@ AdmissionResult PcuPool::run_admission(
     // Admit everything that has arrived by `now`: into the pending set, or
     // straight onto a PCU when commitments are not deferred.
     for (; s.next_arrival() <= s.now; ++s.cursor) {
-      const InferenceRequest& q = requests[s.cursor];
-      const PendingRequest r{q.id,       q.arrival_time, q.tenant,
-                             q.priority, q.deadline,     q.model_id};
+      const PendingRequest r = s.arrival(s.cursor);
       if (s.deferred) {
         s.pending.insert(r);
         continue;

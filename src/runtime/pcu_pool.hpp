@@ -30,9 +30,11 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/report.hpp"
 #include "core/config.hpp"
 #include "nn/network.hpp"
 #include "runtime/fault_plan.hpp"
@@ -305,6 +307,96 @@ struct AutoscalerStats {
   double mean_active = 0.0;
 };
 
+/// The timing-relevant columns of a request stream, borrowed from the
+/// caller's schedules: the one input of the admission loop. Request k
+/// arrives at arrivals[k], carries slos[k], targets models[k] and has id
+/// ids[k]; an empty column means no SLO metadata, the primary model and
+/// dense ids (request k has id k). The loop never sees an input tensor or
+/// an engine seed.
+struct AdmissionSource {
+  std::span<const double> arrivals;
+  std::span<const RequestSlo> slos;
+  std::span<const std::uint32_t> models;
+  std::span<const std::uint64_t> ids;
+};
+
+/// Per-PCU slice of the deterministic virtual-time schedule, reported by
+/// both FleetReport and OpenLoopReport so fleet skew is observable. All
+/// times are simulated seconds.
+struct PcuBreakdown {
+  /// The PcuSpec's capability tag (empty for the homogeneous constructor).
+  std::string tag;
+  /// Requests this virtual PCU served.
+  std::size_t requests = 0;
+  /// Total time in service (completion - start summed over its requests).
+  double busy_time = 0.0;
+  /// Portion of busy_time spent re-filling the double-buffer pipeline
+  /// (warmup charges; 0 without double buffering).
+  double warmup_time = 0.0;
+  /// busy_time / makespan, in [0, 1]. 0 when the makespan is 0.
+  double utilization = 0.0;
+  /// Weight-bank swaps this PCU paid: dispatches that reprogrammed it
+  /// from a different model (ScheduledService::swapped).
+  std::size_t swaps = 0;
+  /// Portion of busy_time spent on those swaps [s].
+  double swap_time = 0.0;
+  /// Service attempts injected faults destroyed on this PCU (crash losses
+  /// plus corrupted transients; 0 on fault-free runs).
+  std::size_t lost_attempts = 0;
+  /// Service time those lost attempts burned before dying [s]. Not part of
+  /// busy_time: the schedule only keeps attempts that completed.
+  double lost_time = 0.0;
+};
+
+/// Per-tenant slice of an SLO-aware open-loop run. A request meets its SLO
+/// when it is served and completes by its deadline (+inf deadlines always
+/// count as met); shed requests always count as missed.
+struct TenantBreakdown {
+  std::uint32_t tenant = 0;
+  /// Offered requests (served + shed).
+  std::size_t requests = 0;
+  std::size_t served = 0;
+  std::size_t shed = 0;
+  /// Requests injected faults permanently destroyed (0 without faults).
+  std::size_t failed = 0;
+  /// Served-late plus shed plus fault-failed.
+  std::size_t slo_misses = 0;
+  /// (requests - slo_misses) / requests; 1.0 for an empty tenant.
+  double slo_attainment = 1.0;
+  /// Sojourn latency of the *served* requests [s].
+  DistributionSummary latency;
+};
+
+/// The report columns of one admission run, written as each entry joins
+/// the final schedule — at commit, or under faults as the loop's final
+/// compaction keeps it — so every sum runs in final-schedule order and no
+/// report walks the schedule again.
+struct ScheduleColumns {
+  /// Sojourn (completion - arrival) of each served request [s].
+  std::vector<double> latency;
+  /// Queueing delay (start - arrival) of each served request [s].
+  std::vector<double> wait;
+  /// Sojourn of each served request that needed a retry [s].
+  std::vector<double> retry_latency;
+  double wait_sum = 0.0; ///< Σ wait [s]
+  /// Requests, busy, warmup, swaps, swap time and utilization per PCU
+  /// (lost_* stay 0). A pipelined request counts on its head PCU; each
+  /// stage span is busy time, and its pin warmup, on the PCU that ran it.
+  std::vector<PcuBreakdown> per_pcu;
+  double makespan = 0.0; ///< last served completion [s]
+  /// Σ analytical request energy of the PCU each request was dispatched
+  /// to (a pipelined one's head) [J].
+  double energy = 0.0;
+  /// Some served request carried a tenant, a non-default priority or a
+  /// finite deadline.
+  bool slo_metadata = false;
+  /// The served requests of each tenant (requests, served and the late
+  /// ones as slo_misses) and their sojourns [s]; only runs whose source
+  /// carries SLO metadata fill them.
+  std::map<std::uint32_t, TenantBreakdown> tenants;
+  std::map<std::uint32_t, std::vector<double>> tenant_latency;
+};
+
 /// Full result of one admission-loop run: the deterministic virtual-time
 /// schedule of the *served* requests plus shedding and sizing outcomes.
 struct AdmissionResult {
@@ -317,6 +409,8 @@ struct AdmissionResult {
   /// Pipeline-parallel outcome (zeros unless groups are configured and
   /// the policy is DispatchPolicy::kPipeline).
   PipelineStats pipeline;
+  /// The report columns of `schedule`, written as each entry was kept.
+  ScheduleColumns columns;
 };
 
 class PcuPool {
@@ -431,10 +525,14 @@ class PcuPool {
   ///    layer pays its own recalibration inline).
   ///
   /// Preconditions, checked on entry (pcnna::Error names the offending
-  /// index): arrival_time never decreases along `requests` (and is never
-  /// negative), and every model_id is registered. Single-threaded and
-  /// deterministic: identical inputs and options yield a bitwise-identical
-  /// schedule.
+  /// index): arrival_time is finite, never negative and never decreases
+  /// along `requests`, every model_id is registered, and the fault and
+  /// autoscaler knobs are valid. Single-threaded and deterministic:
+  /// identical inputs and options yield a bitwise-identical schedule.
+  ///
+  /// A thin adapter: the loop itself reads an AdmissionSource, the
+  /// requests' timing columns (BatchRunner admits straight from its
+  /// arrival, SLO and model schedules).
   ///
   /// One event loop; when a request is committed to a PCU depends on the
   /// policy and options:
@@ -497,9 +595,9 @@ class PcuPool {
   /// telemetry by move, so it admits through run_admission.
   friend class BatchRunner;
 
-  /// simulate_admission without the final telemetry record (the in-loop
-  /// hooks still fire).
-  AdmissionResult run_admission(const std::vector<InferenceRequest>& requests,
+  /// The admission loop over `source` (validated here, once), without the
+  /// final telemetry record (the in-loop hooks still fire).
+  AdmissionResult run_admission(const AdmissionSource& source,
                                 const AdmissionOptions& options);
 
   std::vector<Pcu> pcus_;

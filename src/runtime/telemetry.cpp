@@ -264,9 +264,9 @@ void Telemetry::record_admission(AdmissionResult result, const PcuPool& pool,
     pcu_tags_.push_back(pool.pcu(p).tag());
   policy_name_ = dispatch_policy_name(options.policy);
 
-  // The run is stored, not walked: spans, the per-request instruments and
-  // the makespan gauge are derived from it later.
-  makespan_from_run_ = true;
+  // The run is stored, not walked: spans and the per-request instruments
+  // are derived from it later.
+  makespan_->set(result.columns.makespan);
   mean_active_->set(result.autoscaler.mean_active);
   shed_->add(result.shed.shed);
   fault_injections_->add(result.fault.injections);
@@ -279,17 +279,6 @@ void Telemetry::record_admission(AdmissionResult result, const PcuPool& pool,
 }
 
 void Telemetry::derive() const {
-  if (makespan_from_run_) {
-    // The last recorded run wrote the makespan gauge after any report.
-    double makespan = 0.0;
-    for (const ScheduledService& s : runs_.back().schedule) {
-      makespan = std::max(makespan, s.completion);
-      for (const StageService& st : s.stages)
-        makespan = std::max(makespan, st.completion);
-    }
-    makespan_->set(makespan);
-    makespan_from_run_ = false;
-  }
   for (; depth_derived_ < queue_depth_samples_.size(); ++depth_derived_) {
     const double depth =
         static_cast<double>(queue_depth_samples_[depth_derived_].second);
@@ -393,7 +382,6 @@ void Telemetry::record_results(const std::vector<RequestResult>& results) {
 void Telemetry::record_report(const OpenLoopReport& report) {
   report_ = report;
   have_report_ = true;
-  makespan_from_run_ = false;
   makespan_->set(report.makespan);
   mean_active_->set(report.autoscaler.mean_active);
   for (std::size_t p = 0; p < report.per_pcu.size(); ++p) {

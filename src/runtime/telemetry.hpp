@@ -18,8 +18,8 @@
 //   shed / failed     instants on the tenant track
 //
 // and the instruments that read the same data: the latency and queue-wait
-// histograms, the served counter, the queue-depth gauge and histogram, and
-// the makespan gauge.
+// histograms, the served counter, and the queue-depth gauge and histogram.
+// The makespan gauge is set at record time from the run's report columns.
 // Derivation folds runs and samples in the order they were recorded, so
 // every value carries the bits per-request recording would have given.
 //
@@ -294,9 +294,6 @@ class Telemetry {
   mutable std::vector<AdmissionResult> runs_;
   /// queue_depth_samples_[0, depth_derived_) are in the gauge/histogram.
   mutable std::size_t depth_derived_ = 0;
-  /// The makespan gauge's last write is the last recorded run's, not yet
-  /// derived (record_report writes it directly and clears this).
-  mutable bool makespan_from_run_ = false;
 
   // Fleet shape, captured at record_admission.
   std::size_t num_pcus_ = 0;

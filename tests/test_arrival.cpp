@@ -129,12 +129,13 @@ TEST(ArrivalTrace, LoadsFromFile) {
 }
 
 TEST(ValidateArrivalSchedule, RejectsNonFiniteTimestamps) {
-  EXPECT_THROW(validate_arrival_schedule({0.0, std::nan("")}), Error);
-  EXPECT_THROW(
-      validate_arrival_schedule({std::numeric_limits<double>::infinity()}),
-      Error);
+  EXPECT_THROW(validate_arrival_schedule(ArrivalSchedule{0.0, std::nan("")}),
+               Error);
+  EXPECT_THROW(validate_arrival_schedule(
+                   ArrivalSchedule{std::numeric_limits<double>::infinity()}),
+               Error);
   validate_arrival_schedule({}); // empty is fine
-  validate_arrival_schedule({0.0, 0.0, 1.0});
+  validate_arrival_schedule(ArrivalSchedule{0.0, 0.0, 1.0});
 }
 
 TEST(OfferedRate, CountOverLastArrival) {

@@ -268,6 +268,54 @@ TEST(FaultOptionsValidation, AdmissionRejectsBadOptions) {
   EXPECT_THROW(pool.simulate_admission({}, o), Error);
 }
 
+TEST(FaultOptionsValidation, EmptyScheduleStillRejectsBadKnobs) {
+  // An empty schedule runs no fault code, but its knobs are checked on
+  // every admission run all the same, at the public entry and through the
+  // runner.
+  const Served s = make_served(2);
+  runtime::PcuPool pool(2, PcnnaConfig::paper_defaults(),
+                        core::TimingFidelity::kFull, s.net, s.weights);
+  const struct {
+    const char* field;
+    void (*set)(runtime::FaultOptions&);
+  } cases[] = {
+      {"detection_latency",
+       [](runtime::FaultOptions& f) {
+         f.detection_latency = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"repair_time", [](runtime::FaultOptions& f) { f.repair_time = -1.0; }},
+      {"retry.backoff_base",
+       [](runtime::FaultOptions& f) { f.retry.backoff_base = -0.5; }},
+      {"retry.backoff_factor",
+       [](runtime::FaultOptions& f) { f.retry.backoff_factor = 0.5; }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    runtime::AdmissionOptions o;
+    c.set(o.faults);
+    ASSERT_FALSE(o.faults.enabled());
+    try {
+      pool.simulate_admission({}, o);
+      ADD_FAILURE() << "no error thrown";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string::npos,
+                std::string(e.what()).find(std::string("FaultOptions::") +
+                                           c.field))
+          << e.what();
+    }
+    BatchRunnerOptions ro = options(2);
+    c.set(ro.faults);
+    BatchRunner runner(PcnnaConfig::paper_defaults(), s.net, s.weights, ro);
+    EXPECT_THROW(runner.simulate_open_loop(ArrivalSchedule(2, 0.0)), Error);
+    EXPECT_THROW(runner.run(s.inputs), Error);
+  }
+  // Valid knobs beside an empty schedule still admit.
+  runtime::AdmissionOptions ok;
+  ok.faults.detection_latency = 0.5;
+  ok.faults.retry.backoff_factor = 1.0;
+  EXPECT_NO_THROW(pool.simulate_admission({}, ok));
+}
+
 // --- Crash, retry, and bit-identical re-execution. ---
 
 TEST(FaultTolerance, CrashVictimRetriesAndServesBitIdentically) {

@@ -192,6 +192,16 @@ TEST(OpenLoop, RejectsMismatchedOrInvalidSchedules) {
   EXPECT_THROW(runner.run_open_loop(s.inputs, {0.0, 1.0}), Error);
   EXPECT_THROW(runner.run_open_loop(s.inputs, {0.0, 2.0, 1.0}), Error);
   EXPECT_THROW(runner.simulate_open_loop({0.0, -1.0, 2.0}), Error);
+  // SLO and model schedules must cover every arrival, on both entries.
+  const ArrivalSchedule three = {0.0, 1.0, 2.0};
+  const runtime::SloSchedule two_slos(2);
+  const runtime::ModelSchedule two_models(2, 0);
+  EXPECT_THROW(runner.simulate_open_loop(three, two_slos), Error);
+  EXPECT_THROW(runner.simulate_open_loop(three, {}, two_models), Error);
+  EXPECT_THROW(runner.run_open_loop(s.inputs, three, nullptr, two_slos),
+               Error);
+  EXPECT_THROW(
+      runner.run_open_loop(s.inputs, three, nullptr, {}, two_models), Error);
 }
 
 TEST(OpenLoop, ReportPrintsThroughCommonReport) {

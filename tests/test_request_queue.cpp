@@ -3,6 +3,7 @@
 // priority-class names and per-request seed derivation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -122,6 +123,34 @@ TEST(SimulateAdmission, ShuffledTraceIsRejectedNotReordered) {
     EXPECT_NE(std::string::npos, what.find("out-of-order"));
     EXPECT_NE(std::string::npos, what.find("request 2"))
         << "the error names the first offending index";
+  }
+}
+
+TEST(SimulateAdmission, RejectsInvalidTimestampsAndModelsByIndex) {
+  // The one boundary check: every timestamp finite and nonnegative, every
+  // model registered — each error names the request and its id.
+  Fleet f(2);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan, -1e-3}) {
+    SCOPED_TRACE(bad);
+    try {
+      f.pool.simulate_admission({make_request(0, 0.0), make_request(9, bad)},
+                                {});
+      ADD_FAILURE() << "an invalid timestamp must be rejected";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(std::string::npos, what.find("request 1 ")) << what;
+    }
+  }
+  std::vector<InferenceRequest> unknown = {make_request(0), make_request(1)};
+  unknown[1].model_id = 1;
+  try {
+    f.pool.simulate_admission(unknown, {});
+    ADD_FAILURE() << "an unregistered model must be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos, what.find("targets model 1")) << what;
   }
 }
 
