@@ -200,13 +200,14 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                                                const SloSchedule& slos,
                                                const ModelSchedule& models) {
-  // Timing-only: admitted straight from the schedules, with the
-  // analytical per-request energy of the PCU each request was dispatched
-  // to, which the functional path reproduces (values never change layer
-  // energy). Shed requests burn no energy.
+  // Timing-only: admitted straight from the schedules into the report
+  // columns (nothing is served, so no schedule is kept without telemetry),
+  // with the analytical per-request energy of the PCU each request was
+  // dispatched to, which the functional path reproduces (values never
+  // change layer energy). Shed requests burn no energy.
   const AdmissionOptions options = admission_options();
-  AdmissionResult admission =
-      pool_.run_admission({arrivals, slos, models, {}}, options);
+  AdmissionResult admission = pool_.run_admission(
+      {arrivals, slos, models, {}}, options, /*columns_only=*/true);
   OpenLoopReport r = summarize_schedule(admission, arrivals);
   if (options_.telemetry) {
     // Summarized, so the result can be handed over rather than copied.
@@ -222,7 +223,7 @@ OpenLoopReport BatchRunner::summarize_schedule(
   ScheduleColumns& columns = admission.columns;
   OpenLoopReport r;
   r.pcus = pool_.size();
-  r.served_requests = admission.schedule.size();
+  r.served_requests = columns.latency.size();
   r.shed_requests = admission.shed.shed;
   r.failed_requests = admission.fault.losses.size();
   r.fault = admission.fault;
@@ -303,20 +304,16 @@ OpenLoopReport BatchRunner::summarize_schedule(
   // Per-tenant SLO slices only for runs that actually carried SLO metadata
   // — legacy reports keep their trivial defaults.
   if (admission.shed.shed == 0 && !columns.slo_metadata) return r;
-  // A shed or fault-destroyed request never meets its SLO.
-  const auto missed = [&](std::uint32_t tenant) -> TenantBreakdown& {
-    TenantBreakdown& t = columns.tenants[tenant];
-    t.slo_misses += 1;
-    return t;
-  };
   for (const ShedDecision& d : admission.shed.decisions)
-    missed(d.tenant).shed += 1;
+    columns.tenants[d.tenant].shed += 1;
   for (const RequestLoss& l : admission.fault.losses)
-    missed(l.tenant).failed += 1;
+    columns.tenants[l.tenant].failed += 1;
   std::size_t misses = 0;
   for (auto& [tenant, t] : columns.tenants) {
     t.tenant = tenant;
     t.requests = t.served + t.shed + t.failed;
+    // A shed or fault-destroyed request never meets its SLO.
+    t.slo_misses += t.shed + t.failed;
     misses += t.slo_misses;
     t.slo_attainment =
         t.requests == 0

@@ -9,18 +9,7 @@ namespace pcnna::runtime {
 FreeTimeIndex::FreeTimeIndex(std::size_t pcus)
     : slots_(pcus), idle_(pcus, 0), busy_at_(pcus), idle_at_(pcus) {}
 
-void FreeTimeIndex::unfile(std::size_t p) {
-  const Slot& s = slots_[p];
-  if (!s.listed) return;
-  Tier& tier = tiers_[s.tier];
-  if (idle_[p]) {
-    tier.idle[s.warm_after_idle].erase(idle_at_[p]);
-  } else {
-    tier.busy[s.warm].erase(busy_at_[p]);
-  }
-}
-
-void FreeTimeIndex::file(std::size_t p) {
+void FreeTimeIndex::file(std::size_t p, Busy::node_type node) {
   const Slot& s = slots_[p];
   if (!s.listed) return;
   if (s.tier >= tiers_.size()) tiers_.resize(s.tier + 1);
@@ -30,14 +19,27 @@ void FreeTimeIndex::file(std::size_t p) {
     idle_at_[p] = tier.idle[s.warm_after_idle].insert(p).first;
   } else {
     Busy& busy = tier.busy[s.warm];
-    busy_at_[p] = busy.emplace_hint(busy.end(), s.free_at, p);
+    if (node) node.value() = {s.free_at, p};
+    busy_at_[p] = node ? busy.insert(busy.end(), std::move(node))
+                       : busy.emplace_hint(busy.end(), s.free_at, p);
   }
 }
 
 void FreeTimeIndex::update(std::size_t p, const Slot& slot) {
-  unfile(p);
+  // A busy PCU's node is kept, not freed: a commit to a PCU that has not
+  // freed yet re-files it without an allocation.
+  Busy::node_type node;
+  const Slot& old = slots_[p];
+  if (old.listed) {
+    Tier& tier = tiers_[old.tier];
+    if (idle_[p]) {
+      tier.idle[old.warm_after_idle].erase(idle_at_[p]);
+    } else {
+      node = tier.busy[old.warm].extract(busy_at_[p]);
+    }
+  }
   slots_[p] = slot;
-  file(p);
+  file(p, std::move(node));
 }
 
 void FreeTimeIndex::advance(double t) {

@@ -30,7 +30,9 @@
 // (least-loaded, one tier), 80-98 % on its earliest-free and EDF rows,
 // 58 % on admit_multimodel_faults and 30 % on that workload's EDF row. On
 // 2048 PCUs a hit saves ~75 ns per commit over a plain insert; a miss
-// costs about what a plain insert does.
+// costs about what a plain insert does. A PCU that goes from busy to busy
+// (a commit to a PCU that has not freed yet) keeps its set node, so the
+// re-file allocates nothing.
 //
 // The index never computes a score: the caller supplies it, and promises
 // that, at the query time, every PCU of one busy set scores non-decreasing
@@ -108,8 +110,8 @@ class FreeTimeIndex {
   // iterators valid; only a copy would strand busy_at_ / idle_at_.
   static_assert(std::is_nothrow_move_constructible_v<Tier>);
 
-  void file(std::size_t p);
-  void unfile(std::size_t p);
+  /// File listed PCU p by its slot, reusing `node` when it lands busy.
+  void file(std::size_t p, Busy::node_type node);
 
   std::vector<Tier> tiers_;
   std::vector<Slot> slots_;

@@ -390,9 +390,9 @@ struct ScheduleColumns {
   /// Some served request carried a tenant, a non-default priority or a
   /// finite deadline.
   bool slo_metadata = false;
-  /// The served requests of each tenant (requests, served and the late
-  /// ones as slo_misses) and their sojourns [s]; only runs whose source
-  /// carries SLO metadata fill them.
+  /// The served requests of each tenant (served, and the late ones as
+  /// slo_misses) and their sojourns [s]; only runs whose source carries
+  /// SLO metadata fill them.
   std::map<std::uint32_t, TenantBreakdown> tenants;
   std::map<std::uint32_t, std::vector<double>> tenant_latency;
 };
@@ -409,7 +409,8 @@ struct AdmissionResult {
   /// Pipeline-parallel outcome (zeros unless groups are configured and
   /// the policy is DispatchPolicy::kPipeline).
   PipelineStats pipeline;
-  /// The report columns of `schedule`, written as each entry was kept.
+  /// The report columns of the served requests, written as each entry was
+  /// kept (also when a columns-only run leaves `schedule` empty).
   ScheduleColumns columns;
 };
 
@@ -596,9 +597,12 @@ class PcuPool {
   friend class BatchRunner;
 
   /// The admission loop over `source` (validated here, once), without the
-  /// final telemetry record (the in-loop hooks still fire).
+  /// final telemetry record (the in-loop hooks still fire). A caller that
+  /// reads only the report columns passes `columns_only`: unless faults or
+  /// telemetry need the entries, the schedule is then left empty.
   AdmissionResult run_admission(const AdmissionSource& source,
-                                const AdmissionOptions& options);
+                                const AdmissionOptions& options,
+                                bool columns_only = false);
 
   std::vector<Pcu> pcus_;
   /// Fleet-minimum split passes, one entry per registered model.

@@ -288,13 +288,11 @@ void Telemetry::derive() const {
 
   for (const AdmissionResult& result : runs_) {
     // One span per served request (or per stage for pipelined requests),
-    // one instant per shed decision / destroyed attempt / permanent loss.
-    std::size_t worst = result.shed.decisions.size() +
-                        result.fault.attempts.size() +
-                        result.fault.losses.size();
-    for (const ScheduledService& s : result.schedule)
-      worst += s.stages.empty() ? 1 : s.stages.size();
-    spans_.reserve(spans_.size() + worst);
+    // one instant per shed decision / destroyed attempt / permanent loss;
+    // stage_spans counts every committed stage, so this bounds them all.
+    spans_.reserve(spans_.size() + result.schedule.size() +
+                   result.pipeline.stage_spans + result.shed.decisions.size() +
+                   result.fault.attempts.size() + result.fault.losses.size());
 
     served_->add(result.schedule.size());
     for (const ScheduledService& s : result.schedule) {

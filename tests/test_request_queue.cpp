@@ -128,7 +128,7 @@ TEST(SimulateAdmission, ShuffledTraceIsRejectedNotReordered) {
 
 TEST(SimulateAdmission, RejectsInvalidTimestampsAndModelsByIndex) {
   // The one boundary check: every timestamp finite and nonnegative, every
-  // model registered — each error names the request and its id.
+  // model registered — each error names the offending request index.
   Fleet f(2);
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
