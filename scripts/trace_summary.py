@@ -106,8 +106,9 @@ def recompute_per_pcu(events, pid, num_pcus):
     """Per-PCU totals from the exact simulated-seconds event args.
 
     Accumulation runs in file order, which is schedule order — the same
-    order BatchRunner::fill_breakdowns uses — so the floating-point sums
-    are bit-identical to the report's, not merely close.
+    order the admission loop's report columns accumulate in — so the
+    floating-point sums are bit-identical to the report's, not merely
+    close.
     """
     pcus = [{"requests": 0, "busy_time": 0.0, "warmup_time": 0.0,
              "swap_time": 0.0, "swaps": 0, "lost_attempts": 0,

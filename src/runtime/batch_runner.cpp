@@ -200,14 +200,13 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
                                                const SloSchedule& slos,
                                                const ModelSchedule& models) {
-  // Timing-only: admitted straight from the schedules into the report
-  // columns (nothing is served, so no schedule is kept without telemetry),
-  // with the analytical per-request energy of the PCU each request was
-  // dispatched to, which the functional path reproduces (values never
-  // change layer energy). Shed requests burn no energy.
+  // Timing-only: admitted straight from the schedules, with the
+  // analytical per-request energy of the PCU each request was dispatched
+  // to, which the functional path reproduces (values never change layer
+  // energy). Shed requests burn no energy.
   const AdmissionOptions options = admission_options();
-  AdmissionResult admission = pool_.run_admission(
-      {arrivals, slos, models, {}}, options, /*columns_only=*/true);
+  AdmissionResult admission =
+      pool_.run_admission({arrivals, slos, models, {}}, options);
   OpenLoopReport r = summarize_schedule(admission, arrivals);
   if (options_.telemetry) {
     // Summarized, so the result can be handed over rather than copied.
@@ -223,7 +222,7 @@ OpenLoopReport BatchRunner::summarize_schedule(
   ScheduleColumns& columns = admission.columns;
   OpenLoopReport r;
   r.pcus = pool_.size();
-  r.served_requests = columns.latency.size();
+  r.served_requests = admission.schedule.size();
   r.shed_requests = admission.shed.shed;
   r.failed_requests = admission.fault.losses.size();
   r.fault = admission.fault;

@@ -302,7 +302,7 @@ struct AdmissionState {
                  const std::vector<std::size_t>& min_split_passes,
                  const std::vector<PipelineGroup>& built_groups,
                  const AdmissionSource& source,
-                 const AdmissionOptions& options, bool columns_only);
+                 const AdmissionOptions& options);
 
   const PcuPool& pool;
   const std::vector<Pcu>& pcus;
@@ -334,10 +334,6 @@ struct AdmissionState {
   // Opt-in, read-only hooks: the schedule is bitwise identical with or
   // without them (pinned by the telemetry property tests).
   Telemetry* const telemetry;
-  // Served entries are stored unless only the report columns are read:
-  // faults compact the stored schedule, and telemetry derives its spans
-  // from it.
-  const bool store_schedule;
   std::size_t max_active = 0;
   std::size_t min_active = 0;
 
@@ -724,7 +720,6 @@ struct AdmissionState {
   /// came back.
   void commit(const PendingRequest& r, ScheduledService&& entry) {
     if (telemetry) telemetry->on_dispatch(entry.swapped, !entry.stages.empty());
-    if (!store_schedule) return keep(entry);
     result.schedule.push_back(std::move(entry));
     const ScheduledService& s = result.schedule.back();
     if (!fault_active) return keep(s);
@@ -1192,8 +1187,7 @@ AdmissionState::AdmissionState(const PcuPool& pool,
                                const std::vector<std::size_t>& min_split_passes,
                                const std::vector<PipelineGroup>& built_groups,
                                const AdmissionSource& source,
-                               const AdmissionOptions& options,
-                               bool columns_only)
+                               const AdmissionOptions& options)
     : pool(pool),
       pcus(pcus),
       min_split_passes(min_split_passes),
@@ -1211,7 +1205,6 @@ AdmissionState::AdmissionState(const PcuPool& pool,
                options.shed_expired || scaler.enabled || fault_active),
       rank_idle_from_now(policy != DispatchPolicy::kEarliestFree),
       telemetry(options.telemetry),
-      store_schedule(!columns_only || fault_active || telemetry != nullptr),
       free_at(pcus.size(), 0.0),
       served(pcus.size(), 0),
       programmed(pcus.size(), kNoModel),
@@ -1244,7 +1237,7 @@ AdmissionState::AdmissionState(const PcuPool& pool,
                     "autoscaler needs 1 <= min_active <= max_active, got ["
                         << min_active << ", " << max_active << "]");
   }
-  if (store_schedule) result.schedule.reserve(source.arrivals.size());
+  result.schedule.reserve(source.arrivals.size());
   result.columns.latency.reserve(source.arrivals.size());
   result.columns.wait.reserve(source.arrivals.size());
   result.columns.per_pcu.resize(n);
@@ -1394,13 +1387,12 @@ AdmissionResult PcuPool::simulate_admission(
 }
 
 AdmissionResult PcuPool::run_admission(const AdmissionSource& source,
-                                       const AdmissionOptions& options,
-                                       bool columns_only) {
+                                       const AdmissionOptions& options) {
   validate_source(source, min_split_passes_.size());
   validate_fault_options(options.faults, pcus_.size());
 
   AdmissionState s(*this, pcus_, min_split_passes_, groups_, source,
-                   options, columns_only);
+                   options);
   // Events are arrivals, PCU-free instants, retry expiries and health
   // events; the clock only moves forward, so the schedule is
   // deterministic.

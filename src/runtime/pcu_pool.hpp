@@ -409,8 +409,7 @@ struct AdmissionResult {
   /// Pipeline-parallel outcome (zeros unless groups are configured and
   /// the policy is DispatchPolicy::kPipeline).
   PipelineStats pipeline;
-  /// The report columns of the served requests, written as each entry was
-  /// kept (also when a columns-only run leaves `schedule` empty).
+  /// The report columns of `schedule`, written as each entry was kept.
   ScheduleColumns columns;
 };
 
@@ -597,12 +596,9 @@ class PcuPool {
   friend class BatchRunner;
 
   /// The admission loop over `source` (validated here, once), without the
-  /// final telemetry record (the in-loop hooks still fire). A caller that
-  /// reads only the report columns passes `columns_only`: unless faults or
-  /// telemetry need the entries, the schedule is then left empty.
+  /// final telemetry record (the in-loop hooks still fire).
   AdmissionResult run_admission(const AdmissionSource& source,
-                                const AdmissionOptions& options,
-                                bool columns_only = false);
+                                const AdmissionOptions& options);
 
   std::vector<Pcu> pcus_;
   /// Fleet-minimum split passes, one entry per registered model.
