@@ -20,8 +20,9 @@
 //      accounting,
 //   4. runs a small functional batch through the pipeline and checks each
 //      output is bit-identical to the sequential single-PCU reference
-//      (stage hand-off carries the engine RNG state, so splitting layers
-//      across chips never changes a single bit).
+//      (each op keys its noise from the request seed and the op index,
+//      and each chip draws its set-up from its own config seed, so
+//      splitting layers across chips never changes a single bit).
 #include <iostream>
 
 #include "common/format.hpp"

@@ -1,8 +1,13 @@
 // Deterministic, seedable random number generation.
 //
-// All stochastic parts of the simulator (noise injection, synthetic weight
-// and input generation, fabrication variation) draw from this generator so
-// that every experiment is reproducible from a single seed.
+// All stochastic parts of the simulator (synthetic weight and input
+// generation, fabrication variation, stuck heaters, the engine's per-sweep
+// noise keys) draw from this generator so that every experiment is
+// reproducible from a single seed. A chip's set-up draws come from a
+// generator seeded with the chip's config seed and restarted at each
+// programming call; a request's noise keys come from a generator reseeded
+// per offloaded op from the request seed. No generator state is ever
+// handed from one engine, PCU or pipeline stage to another.
 #pragma once
 
 #include <cstdint>
@@ -15,27 +20,10 @@ namespace pcnna {
 /// implementation-defined). Seeded through SplitMix64.
 class Rng {
  public:
-  /// Complete generator state: the xoshiro words plus the Box–Muller
-  /// spare-normal cache. Capturing and restoring it around a draw sequence
-  /// continues the stream exactly — the pipelined serving runtime hands the
-  /// engine RNG from one PCU's stage to the next this way so a split run
-  /// draws the same values a whole-network run would.
-  struct State {
-    std::uint64_t s[4]{};
-    bool have_cached_normal = false;
-    double cached_normal = 0.0;
-  };
-
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) { reseed(seed); }
 
   /// Re-initialize the full state from a 64-bit seed.
   void reseed(std::uint64_t seed);
-
-  /// Snapshot the complete generator state.
-  State state() const;
-
-  /// Restore a snapshot taken with state().
-  void set_state(const State& state);
 
   /// Next raw 64-bit value.
   std::uint64_t next_u64();

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/mathutil.hpp"
+#include "common/normal_stream.hpp"
 #include "nn/conv_ref.hpp"
 
 namespace pcnna::core {
@@ -14,7 +15,8 @@ Accelerator::Accelerator(PcnnaConfig config, TimingFidelity fidelity)
       scheduler_(config_),
       timing_(config_, fidelity),
       energy_(config_),
-      engine_(config_) {}
+      engine_(config_),
+      request_seed_(config_.seed) {}
 
 nn::Tensor Accelerator::run_conv(const nn::Tensor& input,
                                  const nn::Tensor& weights,
@@ -85,6 +87,7 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
         // The golden conv is the output when values are not simulated,
         // and otherwise only feeds the per-layer error fields.
         if (simulate_values) {
+          engine_.reseed_rng(NormalStream::element_key(request_seed_, i));
           nn::Tensor sim_out = engine_.conv2d(x, weights.weight[i],
                                               weights.bias[i], op.conv.s,
                                               op.conv.p, &layer.engine);
@@ -142,6 +145,7 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
             energy_.layer_energy(scheduler_.plan(fc_params), layer.timing);
 
         if (simulate_values) {
+          engine_.reseed_rng(NormalStream::element_key(request_seed_, i));
           nn::Tensor sim_out = engine_.fully_connected(
               x, weights.weight[i], weights.bias[i], &layer.engine);
           if (layer_errors) {

@@ -58,20 +58,14 @@ class Accelerator {
 
   const PcnnaConfig& config() const { return config_; }
 
-  /// Reseed the functional engine's noise/fabrication RNG. The batch
-  /// runtime calls this with a per-request seed before each run() so that
-  /// results are independent of request ordering and PCU assignment.
-  void reseed_engine(std::uint64_t seed) { engine_.reseed_rng(seed); }
-
-  /// Snapshot / restore the engine RNG mid-network. Pipelined serving runs
-  /// a network as contiguous op ranges on different PCUs; carrying the RNG
-  /// state across the stage boundary keeps the split run bit-identical to
-  /// a whole-network run from the same request seed (the engine draws
-  /// noise/fabrication values strictly in layer order).
-  Rng::State engine_rng_state() const { return engine_.rng_state(); }
-  void set_engine_rng_state(const Rng::State& state) {
-    engine_.set_rng_state(state);
-  }
+  /// Set the request seed the engine's noise is keyed from (config.seed
+  /// until the first call). Before offloaded op i, run() and run_range()
+  /// reseed the engine's noise RNG to
+  /// NormalStream::element_key(seed, i), so op i's noise depends only on
+  /// (seed, i): not on the PCU, on what ran before, or on where a pipeline
+  /// split the network. Bank set-up draws from the chip's own stream and
+  /// never reads this seed.
+  void reseed_engine(std::uint64_t seed) { request_seed_ = seed; }
 
   /// Run one conv layer functionally on the optical core.
   nn::Tensor run_conv(const nn::Tensor& input, const nn::Tensor& weights,
@@ -125,6 +119,7 @@ class Accelerator {
   TimingModel timing_;
   EnergyModel energy_;
   OpticalConvEngine engine_;
+  std::uint64_t request_seed_;
 };
 
 } // namespace pcnna::core

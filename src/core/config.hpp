@@ -101,7 +101,10 @@ struct PcnnaConfig {
   /// (post-ReLU) run single-rail regardless.
   bool dual_rail_inputs = false;
   double adc_headroom = 4.0;      ///< ADC full scale = headroom * sqrt(group)
-  std::uint64_t seed = 1;         ///< fabrication + noise seed
+  /// Seed of the chip's set-up stream (fabrication disorder, stuck rings),
+  /// restarted at every layer programming; also the noise seed until
+  /// Accelerator::reseed_engine sets a request's.
+  std::uint64_t seed = 1;
   /// Intra-image parallelism of the functional engine: number of host
   /// threads sweeping kernel locations of one conv layer (1 = sequential).
   /// Outputs are bit-identical for any value — pixels are partitioned into

@@ -39,19 +39,24 @@
 //    contracts a multiply and its add into an FMA;
 //  * the inline converters round half away from zero without libm
 //    (round_half_away), bit-identical to the std::round they replaced;
-//  * set-up draws (bank fabrication, inject_stuck_faults,
-//    measured_usable_range) come from the engine RNG sequentially in
-//    construction order, exactly as in the reference.
+//  * set-up draws (measured_usable_range, bank fabrication,
+//    inject_stuck_faults) come from the chip's own stream, Rng(config.seed),
+//    restarted at every programming call and consumed in the reference's
+//    construction order. A layer's program is thus a pure function of
+//    (config, layer): a fresh engine's call matches the reference, which
+//    draws set-up from its RNG at config.seed, and every config may keep
+//    its program in the store.
 //
 // With noise on, hot-loop noise (laser RIN, photodiode shot/thermal noise)
-// no longer comes from the engine RNG draw by draw. Each noisy sweep pass,
-// and each noisy fully_connected call, takes one 64-bit key from the engine
-// RNG; pixel p then draws standard normals from its own NormalStream keyed
-// by (that key, p), in the reference's per-pixel draw order. A pixel's
-// noise is thus a pure function of (request seed, sweep, pixel, draw
-// index), the same for every thread count and tile, and the engine RNG
-// advances identically at every thread count. Noisy outputs differ from the
-// reference's (a different sampler) but match it in distribution
+// no longer comes from an RNG draw by draw. Each noisy sweep pass, and each
+// noisy fully_connected call, takes one 64-bit key from the engine's noise
+// RNG (reseeded per offloaded op by the Accelerator); pixel p then draws
+// standard normals from its own NormalStream keyed by (that key, p), in the
+// reference's per-pixel draw order. A pixel's noise is thus a pure function
+// of (noise seed, sweep, pixel, draw index), the same for every thread
+// count and tile, and the noise RNG advances identically at every thread
+// count. Noisy outputs differ from the reference's (a different sampler and
+// a separate stream) but match it in distribution
 // (tests/test_noise_stream.cpp).
 namespace pcnna::core {
 namespace {
@@ -138,7 +143,7 @@ double mean_square_scaled(const Range& values, double scale) {
 // --- noise ---------------------------------------------------------------
 
 /// The key of one noisy sweep pass or fully_connected call: one draw from
-/// the engine RNG when noise is on (bw > 0), none otherwise.
+/// the engine's noise RNG when noise is on (bw > 0), none otherwise.
 std::uint64_t noise_key(Rng& rng, double bw) {
   return bw > 0.0 ? rng.next_u64() : 0;
 }
@@ -586,23 +591,19 @@ namespace {
 struct ProgramSource {
   const ProgrammedLayer* stored = nullptr; ///< warm: read this in place
   bool keep = false; ///< cold, and the new program joins the store after
-  ProgramKey key;    ///< filled when set-up is storable
+  ProgramKey key;    ///< filled unless the program exceeds the cap
 };
 
-/// The store lookup every programming site shares. Set-up is a pure
-/// function of the key (and the engine's fixed config) exactly when it
-/// draws nothing from the RNG: no fabrication disorder, no stuck rings.
-/// Otherwise, or when the full program (`bytes`) could not fit the cap,
-/// the call programs cold and stores nothing.
-ProgramSource find_program(const PcnnaConfig& cfg, const ProgramStore* store,
-                           ProgramKind kind, const nn::Tensor& weights,
-                           std::uint64_t group_size,
+/// The store lookup every programming site shares. Set-up draws only from
+/// the chip stream, so it is a pure function of the key and the engine's
+/// fixed config. When the full program (`bytes`) could not fit the cap, the
+/// call programs cold and stores nothing.
+ProgramSource find_program(const ProgramStore* store, ProgramKind kind,
+                           const nn::Tensor& weights, std::uint64_t group_size,
                            const std::vector<GroupSlice>& groups,
                            std::size_t bytes) {
   ProgramSource src;
-  const bool pure =
-      cfg.bank.ring.fab_sigma == 0.0 && cfg.stuck_ring_rate == 0.0;
-  if (!pure || bytes > OpticalConvEngine::kProgramStoreCap) return src;
+  if (bytes > OpticalConvEngine::kProgramStoreCap) return src;
   src.key = ProgramKey{kind, weights.shape(), weight_digest(weights.data()),
                        group_size, groups};
   src.stored = store ? store->find(src.key) : nullptr;
@@ -736,7 +737,7 @@ double measured_usable_range(phot::WeightBank& bank) {
 }
 
 OpticalConvEngine::OpticalConvEngine(PcnnaConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+    : config_(std::move(config)), noise_rng_(config_.seed) {
   config_.validate();
 }
 
@@ -848,8 +849,8 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   nn::Tensor out(nn::Shape4{1, K, side, side});
 
   ProgramSource src = find_program(
-      config_, store_.get(), ProgramKind::kFullKernel, weights,
-      plan.group_size, plan.groups, program_bytes(plan.groups, K, 1));
+      store_.get(), ProgramKind::kFullKernel, weights, plan.group_size,
+      plan.groups, program_bytes(plan.groups, K, 1));
   ProgrammedLayer fresh;
   const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
   if (!src.stored) fresh.w_absmax = weights.abs_max();
@@ -876,11 +877,13 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   const elec::Adc adc(adc_cfg);
 
   const std::size_t G = plan.groups.size();
+  // The chip's set-up stream, restarted for every programming call.
+  Rng chip(config_.seed);
   if (!src.stored) {
     fresh.w_mean_sq = mean_square_scaled(weights.data(), w_absmax);
     // Probe the representable weight range with a scratch bank of the same
     // width as the widest group.
-    fresh.usable = measured_usable_range(config_, plan.group_size, rng_);
+    fresh.usable = measured_usable_range(config_, plan.group_size, chip);
     PCNNA_CHECK_MSG(fresh.usable > 0.0,
                     "weight bank has no usable signed range");
   }
@@ -896,8 +899,8 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
     for (std::size_t g = 0; g < G; ++g) {
       const phot::WdmGrid grid(plan.groups[g].size());
       for (std::size_t k = 0; k < K; ++k) {
-        phot::WeightBank bank(grid, config_.bank, rng_);
-        inject_stuck_faults(config_, bank, rng_, fresh.setup);
+        phot::WeightBank bank(grid, config_.bank, chip);
+        inject_stuck_faults(config_, bank, chip, fresh.setup);
         program_bank_soa(bank,
                          weights.data().data() + k * n_kernel +
                              plan.groups[g].begin,
@@ -931,7 +934,8 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
                      /*accumulate=*/false, bias, out, scratch_);
   point_at_block(ctx, prog, 0);
 
-  sweep_pixels(ctx, workers, noise_key(rng_, bw), scratch_, pool_.get());
+  sweep_pixels(ctx, workers, noise_key(noise_rng_, bw), scratch_,
+               pool_.get());
   // One bank pass per group and one ADC sample per kernel at each pixel.
   stats.optical_passes += pixels * G;
   stats.adc_conversions += pixels * K;
@@ -957,8 +961,8 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   nn::Tensor out(nn::Shape4{1, K, side, side});
 
   ProgramSource src = find_program(
-      config_, store_.get(), ProgramKind::kPerChannel, weights,
-      plan.group_size, plan.groups, program_bytes(plan.groups, K, layer.nc));
+      store_.get(), ProgramKind::kPerChannel, weights, plan.group_size,
+      plan.groups, program_bytes(plan.groups, K, layer.nc));
   ProgrammedLayer fresh;
   const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
   if (!src.stored) fresh.w_absmax = weights.abs_max();
@@ -983,9 +987,11 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   const elec::Adc adc(adc_cfg);
 
   const std::size_t G = plan.groups.size();
+  // The chip's set-up stream, restarted for every programming call.
+  Rng chip(config_.seed);
   if (!src.stored) {
     fresh.w_mean_sq = mean_square_scaled(weights.data(), w_absmax);
-    fresh.usable = measured_usable_range(config_, plan.group_size, rng_);
+    fresh.usable = measured_usable_range(config_, plan.group_size, chip);
     PCNNA_CHECK_MSG(fresh.usable > 0.0,
                     "weight bank has no usable signed range");
   }
@@ -1002,8 +1008,8 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
       const phot::WdmGrid grid(plan.groups[g].size());
       banks[g].reserve(K);
       for (std::size_t k = 0; k < K; ++k) {
-        banks[g].emplace_back(grid, config_.bank, rng_);
-        inject_stuck_faults(config_, banks[g].back(), rng_, fresh.setup);
+        banks[g].emplace_back(grid, config_.bank, chip);
+        inject_stuck_faults(config_, banks[g].back(), chip, fresh.setup);
         ++fresh.setup.banks_built;
         fresh.setup.total_ring_area += banks[g].back().total_area();
       }
@@ -1047,7 +1053,8 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
 
     point_at_block(ctx, prog, b);
     ctx.offsets = scratch_.offsets.data() + c * per_channel;
-    sweep_pixels(ctx, workers, noise_key(rng_, bw), scratch_, pool_.get());
+    sweep_pixels(ctx, workers, noise_key(noise_rng_, bw), scratch_,
+                 pool_.get());
     // Every group's pass is digitized per kernel.
     stats.optical_passes += pixels * G;
     stats.adc_conversions += pixels * G * K;
@@ -1099,8 +1106,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   const std::size_t slices = (in + group_size - 1) / group_size;
   const std::vector<GroupSlice> slice_group{GroupSlice{0, group_size}};
   ProgramSource src = find_program(
-      config_, store_.get(), ProgramKind::kFullyConnected, weights,
-      group_size, slice_group, program_bytes(slice_group, out_n, slices));
+      store_.get(), ProgramKind::kFullyConnected, weights, group_size,
+      slice_group, program_bytes(slice_group, out_n, slices));
   ProgrammedLayer fresh;
   const ProgrammedLayer& prog = src.stored ? *src.stored : fresh;
   if (!src.stored) fresh.w_absmax = weights.abs_max();
@@ -1123,9 +1130,11 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
+  // The chip's set-up stream, restarted for every programming call.
+  Rng chip(config_.seed);
   if (!src.stored) {
     fresh.w_mean_sq = mean_square_scaled(weights.data(), w_absmax);
-    fresh.usable = measured_usable_range(config_, group_size, rng_);
+    fresh.usable = measured_usable_range(config_, group_size, chip);
     PCNNA_CHECK_MSG(fresh.usable > 0.0,
                     "weight bank has no usable signed range");
     size_program(slice_group, out_n, src.keep ? slices : 1, fresh);
@@ -1146,7 +1155,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   // The call is one kernel location: one stream, keyed like pixel 0 of a
   // sweep, in the draw order of LaserDiode::emit and
   // BalancedPhotodiode::detect.
-  NormalStream z(NormalStream::element_key(noise_key(rng_, bw), 0));
+  NormalStream z(NormalStream::element_key(noise_key(noise_rng_, bw), 0));
   const double laser_sigma = rin_sigma(config_, chain.p0, bw);
 
   CalibrationError cal_err;
@@ -1176,8 +1185,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     const double* base = prog.baseline.data() + b * out_n;
     if (!src.stored) {
       for (std::size_t o = 0; o < out_n; ++o) {
-        phot::WeightBank bank(grid, config_.bank, rng_);
-        inject_stuck_faults(config_, bank, rng_, fresh.setup);
+        phot::WeightBank bank(grid, config_.bank, chip);
+        inject_stuck_faults(config_, bank, chip, fresh.setup);
         program_bank_soa(bank, weights.data().data() + o * in + begin,
                          /*g=*/0, o, b, w_absmax, denom,
                          config_.enable_quantization, weight_dac, chain,
@@ -1188,7 +1197,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
       }
     }
 
-    // Bank programming draws only from the engine RNG and detection only
+    // Bank programming draws only from the chip stream and detection only
     // from `z`, so programming the slice's banks before detecting any of
     // them keeps both draw sequences.
     mac_group(out_n, width, powers.data(), drop, thru, dacc.data(),

@@ -32,15 +32,17 @@
 //    eight kernels, channel-major within a panel, and the MAC keeps a
 //    panel's 8 drop and 8 through accumulators in SSE2 registers across the
 //    group's channels (narrower kernels take the K % 8 tail panel);
-//  * a programmed-layer store — when bank set-up draws nothing from the
-//    RNG, a layer's program is kept per engine and read in place by later
+//  * a per-chip set-up stream and a programmed-layer store — fabrication
+//    disorder and stuck heaters are drawn from Rng(config.seed), restarted
+//    at every programming call, so a layer's program depends only on
+//    (config, layer); it is kept per engine and read in place by later
 //    calls with the same weights, bit-identical to reprogramming it (see
 //    programmed_bytes());
 //  * keyed per-pixel noise — each noisy sweep pass takes one key from the
-//    engine RNG, and pixel p draws its laser RIN and photodiode noise from
-//    its own NormalStream (common/normal_stream.hpp) keyed by (that key,
-//    p), so a pixel's noise depends only on (request seed, sweep, pixel,
-//    draw index);
+//    engine's noise RNG, and pixel p draws its laser RIN and photodiode
+//    noise from its own NormalStream (common/normal_stream.hpp) keyed by
+//    (that key, p), so a pixel's noise depends only on (noise seed, sweep,
+//    pixel, draw index);
 //  * optional deterministic intra-image parallelism — kernel locations are
 //    partitioned into fixed tiles across PcnnaConfig::engine_threads
 //    workers, noisy or not. Outputs are bit-identical for every thread
@@ -98,8 +100,9 @@ struct EngineStats {
 /// stuck_ring_rate > 0 this consumes exactly one rng.uniform() per ring, in
 /// ascending ring index, regardless of whether the ring ends up stuck; when
 /// stuck_ring_rate <= 0 it consumes nothing. The engine calls it only
-/// during sequential layer setup (bank construction order), never from the
-/// pixel loops, so intra-image parallelism cannot perturb fault patterns.
+/// during sequential layer setup (bank construction order) on the chip's
+/// set-up stream, never from the pixel loops, so neither intra-image
+/// parallelism nor the request seed can perturb fault patterns.
 void inject_stuck_faults(const PcnnaConfig& cfg, phot::WeightBank& bank,
                          Rng& rng, EngineStats& st);
 
@@ -113,8 +116,9 @@ void inject_stuck_faults(const PcnnaConfig& cfg, phot::WeightBank& bank,
 /// exactly the fabrication draws of constructing one `channels`-ring bank —
 /// one rng.normal() per ring in ascending ring index when
 /// bank.ring.fab_sigma > 0, nothing otherwise. The probe calibrations and
-/// weight queries draw nothing. Called once per conv2d invocation, before
-/// any layer banks are built.
+/// weight queries draw nothing. The engine calls it first on the chip's
+/// set-up stream of every cold programming call, before any layer banks are
+/// built.
 double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels,
                              Rng& rng);
 
@@ -214,29 +218,19 @@ class OpticalConvEngine {
                              const nn::Tensor& bias,
                              EngineStats* stats = nullptr);
 
-  /// Reset the internal noise/fabrication RNG to the config seed (makes two
-  /// runs bit-identical).
-  void reset_rng() { rng_.reseed(config_.seed); }
+  /// Reset the noise RNG, which keys every noisy sweep pass, to the config
+  /// seed (makes two runs bit-identical). Bank set-up never reads it.
+  void reset_rng() { noise_rng_.reseed(config_.seed); }
 
-  /// Reseed the noise/fabrication RNG to an explicit seed. The batch runtime
-  /// reseeds per request so a request's output is the same no matter which
-  /// PCU serves it or in what order.
-  void reseed_rng(std::uint64_t seed) { rng_.reseed(seed); }
-
-  /// Snapshot the noise/fabrication RNG mid-stream. The pipelined serving
-  /// runtime captures the state after one stage's layer range and restores
-  /// it on the next stage's PCU, so a split run draws exactly the values a
-  /// whole-network run from the same request seed would.
-  Rng::State rng_state() const { return rng_.state(); }
-
-  /// Restore a snapshot taken with rng_state().
-  void set_rng_state(const Rng::State& state) { rng_.set_state(state); }
+  /// Reseed the noise RNG to an explicit seed. The Accelerator reseeds it
+  /// before each offloaded op from the request seed and the op index, so an
+  /// op's noise is the same no matter which PCU serves it or in what order.
+  void reseed_rng(std::uint64_t seed) { noise_rng_.reseed(seed); }
 
   /// Bytes of calibrated bank programs held by the programmed-layer store:
   /// the transposed drop/through responses, baselines and group offsets of
-  /// every stored layer. Zero until a call stores its first layer, and
-  /// always zero when bank set-up draws from the RNG (fab_sigma > 0 or
-  /// stuck_ring_rate > 0). Never exceeds kProgramStoreCap.
+  /// every stored layer. Zero until a call stores its first layer. Never
+  /// exceeds kProgramStoreCap.
   ///
   /// A stored layer is keyed by its weights' shape and bit-pattern digest
   /// and the plan fields programming reads; a later call with the same key
@@ -260,7 +254,9 @@ class OpticalConvEngine {
                               std::size_t K);
 
   PcnnaConfig config_;
-  Rng rng_;
+  /// Source of the per-sweep noise keys; bank set-up draws from a local
+  /// Rng(config_.seed) instead.
+  Rng noise_rng_;
   EngineScratch scratch_;
   std::unique_ptr<ThreadPool> pool_;
   /// Programmed-layer store; null until the first layer is stored.

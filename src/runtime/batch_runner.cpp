@@ -331,11 +331,16 @@ OpenLoopReport BatchRunner::summarize_schedule(
 }
 
 RequestResult BatchRunner::run_one(const nn::Tensor& input, std::uint64_t id) {
+  // serve() addresses results by position, so the lone request is id 0 on
+  // the schedule and takes its own id back afterwards.
   InferenceRequest request;
-  request.id = id;
   request.seed = derive_request_seed(options_.seed, id);
   request.input = input;
-  return pool_.pcu(0).serve(request, options_.simulate_values);
+  ScheduledService on_pcu0;
+  RequestResult result = std::move(pool_.serve(
+      {std::move(request)}, {on_pcu0}, options_.simulate_values)[0]);
+  result.id = id;
+  return result;
 }
 
 namespace {

@@ -348,7 +348,8 @@ class BatchRunner {
                                     const ModelSchedule& models = {});
 
   /// Sequential single-PCU baseline: serves request `id` on PCU 0 with the
-  /// same per-request seed run() would use — the bit-identity reference.
+  /// same per-request seed and the same executor run() uses — the
+  /// bit-identity reference.
   RequestResult run_one(const nn::Tensor& input, std::uint64_t id);
 
   /// Render a FleetReport as aligned tables via common::report.

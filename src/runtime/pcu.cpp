@@ -152,63 +152,20 @@ StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,
 
 StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
                               std::size_t op_end, const nn::Tensor& input,
-                              const Rng::State* rng, std::uint64_t seed,
-                              double energy_so_far, bool simulate_values) {
+                              std::uint64_t seed, bool simulate_values) {
   const ModelSlot& slot = model_slot(model);
-  // First stage: restart the noise stream from the request seed, exactly
-  // like serve(). Later stages: resume the stream where the previous
-  // stage's PCU left it, so the split run draws the same values a
-  // whole-network run would.
-  if (rng == nullptr) {
-    accelerator_.reseed_engine(seed);
-  } else {
-    accelerator_.set_engine_rng_state(*rng);
-  }
+  accelerator_.reseed_engine(seed);
   core::NetworkRunReport run = accelerator_.run_range(
       *slot.net, *slot.weights, input, op_begin, op_end, simulate_values);
 
   StageHandoff handoff;
   handoff.activation = std::move(run.output);
-  handoff.rng = accelerator_.engine_rng_state();
-  handoff.energy = energy_so_far + run.total_energy;
+  handoff.energy = run.total_energy;
   for (const core::LayerRunReport& l : run.conv_layers)
     handoff.work.add(l.engine);
   for (const core::LayerRunReport& l : run.fc_layers)
     handoff.work.add(l.engine);
-  stats_.energy += run.total_energy;
   return handoff;
-}
-
-RequestResult Pcu::serve(const InferenceRequest& request,
-                         bool simulate_values) {
-  const ModelSlot& slot = model_slot(request.model_id);
-  // Per-request reseed: the engine's noise stream restarts from the
-  // request's own seed, so the output is identical whether this request is
-  // the first thing this PCU ever ran or the thousandth.
-  accelerator_.reseed_engine(request.seed);
-  core::NetworkRunReport run = accelerator_.run(
-      *slot.net, *slot.weights, request.input, simulate_values,
-      /*compare_reference=*/false);
-
-  RequestResult result;
-  result.id = request.id;
-  result.pcu_index = index_;
-  result.output = std::move(run.output);
-  result.service_time_serial = slot.request_time_serial;
-  result.service_time_overlapped = slot.request_interval;
-  result.energy = run.total_energy;
-  result.model_id = request.model_id;
-  result.tenant = request.tenant;
-  for (const core::LayerRunReport& l : run.conv_layers)
-    result.work.add(l.engine);
-  for (const core::LayerRunReport& l : run.fc_layers)
-    result.work.add(l.engine);
-
-  stats_.requests_served += 1;
-  stats_.busy_time_serial += slot.request_time_serial;
-  stats_.busy_time_overlapped += slot.request_interval;
-  stats_.energy += run.total_energy;
-  return result;
 }
 
 } // namespace pcnna::runtime

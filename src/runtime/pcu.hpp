@@ -1,12 +1,13 @@
 // One photonic conv unit (PCU) of the batch-serving fleet.
 //
 // A Pcu wraps a core::Accelerator replica that can be programmed with any
-// of the fleet's registered models and serves InferenceRequests one at a
-// time. Since the fleet became heterogeneous, each Pcu carries its *own*
-// PcnnaConfig (ring/WDM budget, DAC counts, fidelity-limited usable range),
-// its warmup policy, and a free-form capability tag — a fleet can mix
-// big-budget PCUs for wide layers with small cheap ones. Besides the
-// functional run it prices each request two ways:
+// of the fleet's registered models and runs one request (or one pipeline
+// stage of one) at a time. Since the fleet became heterogeneous, each Pcu
+// carries its *own* PcnnaConfig (ring/WDM budget, DAC counts,
+// fidelity-limited usable range), its warmup policy, and a free-form
+// capability tag — a fleet can mix big-budget PCUs for wide layers with
+// small cheap ones. Besides the functional run it prices each request two
+// ways:
 //
 //  * serial: the paper's single-image schedule — every layer pays its
 //    weight-bank reprogramming (MRR retuning + thermal settling) before its
@@ -37,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/accelerator.hpp"
 #include "core/config.hpp"
 #include "nn/network.hpp"
@@ -155,19 +155,16 @@ struct StageTimings {
   std::size_t split_passes = 0;
 };
 
-/// Activation + engine-RNG hand-off between consecutive pipeline stages.
-/// Carrying the RNG state keeps a split run bit-identical to a
-/// whole-network run from the same request seed: the engine draws noise /
-/// fabrication values strictly in layer order, so stage n+1 resumes the
-/// stream exactly where stage n left it.
+/// What one op range of a request hands on: the activation leaving the
+/// range, plus its simulated energy and engine work. Pcu::serve_stage
+/// fills the range's own; the executor adds the earlier stages' before
+/// handing it to the next stage or into the RequestResult. Nothing else
+/// crosses a stage boundary: each offloaded op keys its noise from (request
+/// seed, op index) and bank set-up comes from the serving chip's own
+/// stream, so a split run is bit-identical to a whole-network run.
 struct StageHandoff {
   nn::Tensor activation;
-  Rng::State rng;
-  /// Accumulated simulated energy across the stages run so far [J].
-  double energy = 0.0;
-  /// Engine-phase work counters of *this* stage's range only; the
-  /// pipelined worker accumulates them across the chain into the final
-  /// RequestResult (mirroring how `energy` accumulates via energy_so_far).
+  double energy = 0.0; ///< [J]
   EngineWork work;
 };
 
@@ -195,14 +192,6 @@ ModelSlot make_model_slot(const core::PcnnaConfig& config,
                           const nn::Network& net,
                           const nn::NetWeights& weights);
 
-/// Cumulative counters for one PCU (wall-clock sharding outcome).
-struct PcuStats {
-  std::size_t requests_served = 0;
-  double busy_time_serial = 0.0;     ///< simulated, serial schedule [s]
-  double busy_time_overlapped = 0.0; ///< simulated, double-buffered [s]
-  double energy = 0.0;               ///< simulated [J]
-};
-
 class Pcu {
  public:
   /// Build one unit: `config`/`fidelity` shape the accelerator model,
@@ -225,7 +214,6 @@ class Pcu {
       std::string tag = {});
 
   std::size_t index() const { return index_; }
-  const PcuStats& stats() const { return stats_; }
   WarmupPolicy warmup_policy() const { return warmup_policy_; }
   const std::string& tag() const { return tag_; }
   /// This PCU's hardware model (with any engine-thread override applied).
@@ -249,33 +237,26 @@ class Pcu {
   /// Number of registered models (>= 1).
   std::size_t num_models() const { return models_.size(); }
 
-  /// Serve one request: reseed the engine to the request's seed (so the
-  /// result does not depend on what this PCU served before), run the
-  /// request's model (request.model_id), and price it. `simulate_values`
-  /// as in core::Accelerator::run.
+  /// Run ops [op_begin, op_end) of `model` from `input`, with the
+  /// engine's noise keyed from the request's `seed`: one pipeline stage, or
+  /// a whole request when the range is every op of the model. The result
+  /// depends only on (config, model, range, input, seed), never on what
+  /// this PCU served before. Returns the activation leaving the range and
+  /// the range's own energy and engine work. `simulate_values` as in
+  /// core::Accelerator::run.
   ///
-  /// Preconditions: request.model_id < num_models() and the request's
-  /// input matches that model's input shape (throws pcnna::Error
-  /// otherwise). Not thread-safe per Pcu — each Pcu is owned by exactly
-  /// one PcuPool worker thread at a time; distinct Pcus may serve
-  /// concurrently. Internally the accelerator engine may additionally fan
-  /// one request's pixel sweep across PcnnaConfig::engine_threads workers
-  /// (BatchRunnerOptions::engine_threads sets it fleet-wide); that
-  /// intra-image parallelism is deterministic and does not change any
-  /// output bit.
-  RequestResult serve(const InferenceRequest& request, bool simulate_values);
-
-  /// Run ops [op_begin, op_end) of `model` — one pipeline stage — from
-  /// `input`. For the first stage pass `rng == nullptr` and the request's
-  /// seed (the engine reseeds exactly as serve() would); later stages pass
-  /// the previous stage's hand-off state and `seed` is ignored. Returns
-  /// the activation leaving the range, the engine RNG state after it, and
-  /// the accumulated energy (incoming hand-off energy plus this range's).
-  /// Same thread-ownership rules as serve().
+  /// Preconditions: model < num_models(), the range lies within the
+  /// model's ops, and `input` matches the model's shape before op_begin
+  /// (throws pcnna::Error otherwise). Not thread-safe per Pcu — each Pcu is
+  /// owned by exactly one PcuPool worker thread at a time; distinct Pcus
+  /// may serve concurrently. Internally the accelerator engine may
+  /// additionally fan one request's pixel sweep across
+  /// PcnnaConfig::engine_threads workers (BatchRunnerOptions::engine_threads
+  /// sets it fleet-wide); that intra-image parallelism is deterministic and
+  /// does not change any output bit.
   StageHandoff serve_stage(std::uint32_t model, std::size_t op_begin,
                            std::size_t op_end, const nn::Tensor& input,
-                           const Rng::State* rng, std::uint64_t seed,
-                           double energy_so_far, bool simulate_values);
+                           std::uint64_t seed, bool simulate_values);
 
   /// Serving constants for the stage [op_begin, op_end) of `model`,
   /// computed on demand from this PCU's timing/energy/plan models (the
@@ -364,7 +345,6 @@ class Pcu {
   core::Accelerator accelerator_;
   WarmupPolicy warmup_policy_;
   std::string tag_;
-  PcuStats stats_;
   std::vector<ModelSlot> models_;
 };
 

@@ -21,7 +21,7 @@
 //    admission schedule assigned it (a pipelined request stage by stage
 //    on the PCUs its spans name). Each Pcu is owned by exactly one worker
 //    thread for the duration of a call — workers never share a Pcu, so
-//    Pcu::serve needs no locking; distinct Pcus serve concurrently. The
+//    Pcu::serve_stage needs no locking; distinct Pcus serve concurrently. The
 //    schedule is deterministic and every request carries its own engine
 //    seed, so which PCU computed each output, and the output bits, repeat
 //    run to run on any fleet.
@@ -487,13 +487,16 @@ class PcuPool {
 
   /// Serve `requests` on exactly the PCUs the virtual-time `schedule`
   /// assigned, one worker thread per PCU walking its own work list in
-  /// virtual start order. An entry without stage spans runs whole on its
-  /// PCU (Pcu::serve). An entry with stage spans runs as a chain: every
-  /// stage executes on the PCU its span names, handing the activation and
-  /// the engine RNG state to the next stage (Pcu::serve_stage), so stage n
-  /// of image i really does overlap stage n-1 of image i+1 on the host. The
-  /// span chains come from the deterministic admission loop, so the
-  /// dependency order is acyclic and outputs are deterministic.
+  /// virtual start order. Every unit of work is one Pcu::serve_stage call
+  /// keyed by the request's seed: an entry without stage spans is a single
+  /// stage over all of its model's ops on its PCU, and an entry with stage
+  /// spans runs as a chain in which every stage executes on the PCU its
+  /// span names and hands only its activation, energy and engine work to
+  /// the next, so stage n of image i really does overlap stage n-1 of
+  /// image i+1 on the host. The last stage's worker builds the request's
+  /// RequestResult. The span chains come from the deterministic admission
+  /// loop, so the dependency order is acyclic and outputs are
+  /// deterministic.
   ///
   /// `requests` must have dense ids (requests[k].id == k). `schedule` must
   /// reference request ids in [0, requests.size()), each at most once; ids

@@ -1,6 +1,7 @@
 // PcuPool::serve, the functional executor: runs each request (or each
 // pipeline stage) of a finished virtual-time schedule on the PCU the
-// schedule named, one host thread per busy PCU. It lives apart from the
+// schedule named, one host thread per busy PCU. A request that runs whole
+// is a one-stage chain, so both take the same path. It lives apart from the
 // admission loop (pcu_pool.cpp) so that an edit to either one leaves the
 // other's machine code, and so its speed, alone.
 #include "runtime/pcu_pool.hpp"
@@ -8,7 +9,6 @@
 #include <algorithm>
 #include <exception>
 #include <future>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -31,15 +31,13 @@ std::vector<RequestResult> PcuPool::serve(
     PCNNA_CHECK_MSG(requests[k].id == k,
                     "requests must have dense ids: requests["
                         << k << "] has id " << requests[k].id);
-  constexpr std::size_t kWhole = std::numeric_limits<std::size_t>::max();
-
-  /// One unit of PCU work: a whole request (stage == kWhole) or one stage
-  /// of a pipelined request. Ordered by virtual span start — the admission
-  /// loop guarantees per-PCU spans never overlap, so start order is the
-  /// execution order.
+  /// One unit of PCU work: stage `stage` of a schedule entry, where a
+  /// request that runs whole is the single stage over all of its model's
+  /// ops. Ordered by virtual span start — the admission loop guarantees
+  /// per-PCU spans never overlap, so start order is the execution order.
   struct Exec {
     std::size_t sched = 0; ///< index into `schedule`
-    std::size_t stage = kWhole;
+    std::size_t stage = 0;
     double start = 0.0;
   };
   std::vector<std::vector<Exec>> assigned(pcus_.size());
@@ -59,7 +57,7 @@ std::vector<RequestResult> PcuPool::serve(
     if (s.stages.empty()) {
       PCNNA_CHECK_MSG(s.pcu < pcus_.size(),
                       "scheduled PCU " << s.pcu << " out of range");
-      assigned[s.pcu].push_back({si, kWhole, s.start});
+      assigned[s.pcu].push_back({si, 0, s.start});
       continue;
     }
     for (std::size_t j = 0; j < s.stages.size(); ++j) {
@@ -100,27 +98,20 @@ std::vector<RequestResult> PcuPool::serve(
     try {
       for (const Exec& e : assigned[p]) {
         const ScheduledService& s = schedule[e.sched];
-        if (e.stage == kWhole) {
-          results[s.id] = pcus_[p].serve(requests[s.id], simulate_values);
-          done += 1;
-          continue;
-        }
-        const StageService& span = s.stages[e.stage];
+        const InferenceRequest& request = requests[s.id];
+        const bool whole = s.stages.empty();
+        const std::size_t op_begin = whole ? 0 : s.stages[e.stage].op_begin;
+        const std::size_t op_end =
+            whole ? pcus_[p].model_network(s.model).ops().size()
+                  : s.stages[e.stage].op_end;
         StageHandoff in;
-        const nn::Tensor* input = nullptr;
-        const Rng::State* rng = nullptr;
-        if (e.stage == 0) {
-          input = &requests[s.id].input;
-        } else {
-          in = handoffs[e.sched][e.stage - 1].get();
-          input = &in.activation;
-          rng = &in.rng;
-        }
-        StageHandoff out = pcus_[p].serve_stage(
-            s.model, span.op_begin, span.op_end, *input, rng,
-            requests[s.id].seed, e.stage == 0 ? 0.0 : in.energy,
-            simulate_values);
-        if (e.stage > 0) out.work += in.work; // chain the work counters
+        if (e.stage > 0) in = handoffs[e.sched][e.stage - 1].get();
+        const nn::Tensor& input = e.stage > 0 ? in.activation : request.input;
+        StageHandoff out = pcus_[p].serve_stage(s.model, op_begin, op_end,
+                                                input, request.seed,
+                                                simulate_values);
+        out.energy += in.energy;
+        out.work += in.work;
         if (e.stage + 1 < s.stages.size()) {
           chains[e.sched][e.stage].set_value(std::move(out));
         } else {
@@ -142,7 +133,7 @@ std::vector<RequestResult> PcuPool::serve(
       }
       for (std::size_t i = done; i < assigned[p].size(); ++i) {
         const Exec& e = assigned[p][i];
-        if (e.stage != kWhole && e.stage + 1 < schedule[e.sched].stages.size())
+        if (e.stage + 1 < schedule[e.sched].stages.size())
           chains[e.sched][e.stage].set_exception(std::current_exception());
       }
     }

@@ -34,7 +34,8 @@ const char* priority_class_name(PriorityClass priority);
 struct InferenceRequest {
   /// Dense id in [0, batch); doubles as the slot index for its result.
   std::uint64_t id = 0;
-  /// Engine noise/fabrication seed for this request (derive_request_seed).
+  /// Engine noise seed for this request (derive_request_seed). Bank set-up
+  /// never reads it: disorder and stuck rings belong to the serving chip.
   std::uint64_t seed = 0;
   /// Simulated arrival timestamp [s]. 0 for the closed-batch path (all
   /// requests present at t = 0); set from an ArrivalSchedule for open-loop

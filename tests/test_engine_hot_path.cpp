@@ -296,7 +296,7 @@ TEST(EngineScratchReuse, PerChannelAllocationAcrossLayers) {
               fresh_b.conv2d(b.input, b.weights, b.bias, kLayerB.s, kLayerB.p));
 }
 
-// After a threaded noisy conv, the engine RNG must sit at exactly the same
+// After a threaded noisy conv, the noise RNG must sit at exactly the same
 // state as after a sequential one — each sweep takes one noise key from the
 // generator at every thread count. Proven by running a second conv
 // afterwards.

@@ -5,8 +5,10 @@
 //  * golden bit-identity — for the same per-request seeds, a model served
 //    through a pinned multi-PCU pipeline, a data-parallel fleet, and the
 //    sequential single-PCU reference produce bitwise-equal outputs, and
-//    engine_threads never perturbs a single bit (the stage hand-off
-//    carries the engine RNG state across chip boundaries);
+//    engine_threads never perturbs a single bit (each offloaded op keys
+//    its noise from the request seed and the op index, and bank set-up
+//    comes from each chip's own stream, so a stage boundary carries only
+//    the activation);
 //  * a steady-state pinned pipeline records zero model swaps, pays each
 //    stage pin exactly once, and charges busy time to the stage PCUs;
 //  * kPipeline composes with deadlines, shedding, and the autoscaler
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "core/config.hpp"
 #include "nn/network.hpp"
 #include "nn/synth.hpp"
@@ -74,40 +77,46 @@ BatchRunnerOptions base_options() {
 
 TEST(PipelineGolden, PipelinedEqualsDataParallelEqualsSequential) {
   const Fixture f = make_fixture(6);
-  const PcnnaConfig config = PcnnaConfig::paper_defaults();
+  PcnnaConfig chip = PcnnaConfig::paper_defaults();
+  chip.bank.ring.fab_sigma = 0.05 * units::nm;
+  chip.stuck_ring_rate = 0.02;
   const ArrivalSchedule arrivals(f.inputs.size(), 0.0);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    BatchRunnerOptions sopts = base_options();
-    sopts.num_pcus = 1;
-    sopts.engine_threads = threads;
-    BatchRunner sequential(config, f.net, f.weights, sopts);
+  for (const PcnnaConfig& config : {PcnnaConfig::paper_defaults(), chip}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(config.stuck_ring_rate > 0.0 ? "disorder and stuck rings"
+                                                : "paper_defaults");
+      BatchRunnerOptions sopts = base_options();
+      sopts.num_pcus = 1;
+      sopts.engine_threads = threads;
+      BatchRunner sequential(config, f.net, f.weights, sopts);
 
-    BatchRunnerOptions dopts = base_options();
-    dopts.engine_threads = threads;
-    dopts.dispatch = DispatchPolicy::kLeastLoaded;
-    BatchRunner data_parallel(config, f.net, f.weights, dopts);
-    const std::vector<RequestResult> dp =
-        data_parallel.run_open_loop(f.inputs, arrivals);
+      BatchRunnerOptions dopts = base_options();
+      dopts.engine_threads = threads;
+      dopts.dispatch = DispatchPolicy::kLeastLoaded;
+      BatchRunner data_parallel(config, f.net, f.weights, dopts);
+      const std::vector<RequestResult> dp =
+          data_parallel.run_open_loop(f.inputs, arrivals);
 
-    BatchRunnerOptions popts = base_options();
-    popts.engine_threads = threads;
-    popts.dispatch = DispatchPolicy::kPipeline;
-    BatchRunner pipelined(config, f.net, f.weights, popts);
-    pipelined.build_pipeline(/*model=*/0, {0, 1, 2});
-    OpenLoopReport report;
-    const std::vector<RequestResult> pl =
-        pipelined.run_open_loop(f.inputs, arrivals, &report);
-    ASSERT_EQ(f.inputs.size(), report.pipeline.pipelined_requests);
+      BatchRunnerOptions popts = base_options();
+      popts.engine_threads = threads;
+      popts.dispatch = DispatchPolicy::kPipeline;
+      BatchRunner pipelined(config, f.net, f.weights, popts);
+      pipelined.build_pipeline(/*model=*/0, {0, 1, 2});
+      OpenLoopReport report;
+      const std::vector<RequestResult> pl =
+          pipelined.run_open_loop(f.inputs, arrivals, &report);
+      ASSERT_EQ(f.inputs.size(), report.pipeline.pipelined_requests);
 
-    for (std::size_t id = 0; id < f.inputs.size(); ++id) {
-      const RequestResult ref = sequential.run_one(f.inputs[id], id);
-      EXPECT_TRUE(ref.output == dp[id].output)
-          << "data-parallel request " << id << " at " << threads
-          << " engine threads";
-      EXPECT_TRUE(ref.output == pl[id].output)
-          << "pipelined request " << id << " at " << threads
-          << " engine threads";
+      for (std::size_t id = 0; id < f.inputs.size(); ++id) {
+        const RequestResult ref = sequential.run_one(f.inputs[id], id);
+        EXPECT_TRUE(ref.output == dp[id].output)
+            << "data-parallel request " << id << " at " << threads
+            << " engine threads";
+        EXPECT_TRUE(ref.output == pl[id].output)
+            << "pipelined request " << id << " at " << threads
+            << " engine threads";
+      }
     }
   }
 }

@@ -3,9 +3,10 @@
 //
 // A warm call reads a layer's stored bank program instead of rebuilding and
 // recalibrating its banks. That is only sound if it is invisible: a warm
-// call must return the bits and the EngineStats a fresh engine returns, a
-// changed weight must miss the store, and configs whose bank set-up draws
-// from the RNG must never store. The fleet shares one timing slot per
+// call must return the bits and the EngineStats a fresh engine returns, and
+// a changed weight must miss the store. Bank set-up draws fabrication
+// disorder and stuck heaters from the chip's own stream, restarted at every
+// programming call, so configs with either store and replay them too. The fleet shares one timing slot per
 // distinct PCU config, which must equal the slot a lone Pcu computes, and
 // per-layer reference errors are computed only when asked for.
 #include <gtest/gtest.h>
@@ -95,10 +96,19 @@ Call fc_call(std::size_t in, std::size_t out, std::uint64_t seed) {
   return c;
 }
 
+/// `cfg` and its twin with fabrication disorder and stuck rings, whose
+/// bank set-up draws from the chip stream.
+std::vector<PcnnaConfig> with_setup_draws(const PcnnaConfig& cfg) {
+  PcnnaConfig chip = cfg;
+  chip.bank.ring.fab_sigma = 0.05 * units::nm;
+  chip.stuck_ring_rate = 0.02;
+  return {cfg, chip};
+}
+
 /// The first and second call on one engine each equal a fresh engine's
 /// call, in output bits and every EngineStats field; the first call
 /// stores the layer.
-void expect_warm_equals_cold(const PcnnaConfig& cfg, const Call& call) {
+void expect_warm_equals_cold_on(const PcnnaConfig& cfg, const Call& call) {
   constexpr std::uint64_t kSeed = 77;
   OpticalConvEngine fresh(cfg);
   EngineStats cold;
@@ -112,6 +122,15 @@ void expect_warm_equals_cold(const PcnnaConfig& cfg, const Call& call) {
     expect_same_bits(want, call.run(engine, kSeed, &got));
     expect_same_stats(cold, got);
     EXPECT_GT(engine.programmed_bytes(), 0u);
+  }
+}
+
+/// expect_warm_equals_cold_on for `cfg` and its set-up-drawing twin.
+void expect_warm_equals_cold(const PcnnaConfig& cfg, const Call& call) {
+  for (const PcnnaConfig& c : with_setup_draws(cfg)) {
+    SCOPED_TRACE(c.stuck_ring_rate > 0.0 ? "disorder and stuck rings"
+                                         : "as given");
+    expect_warm_equals_cold_on(c, call);
   }
 }
 
@@ -149,8 +168,12 @@ TEST(ProgramStore, WarmNetworkRunsEqualAFreshAccelerator) {
   const Tensor input = nn::make_network_input(net, rng);
   PcnnaConfig fc = PcnnaConfig::paper_defaults();
   fc.accelerate_fc = true;
-  for (const PcnnaConfig& cfg :
-       {PcnnaConfig::paper_defaults(), PcnnaConfig::small_core(), fc}) {
+  std::vector<PcnnaConfig> configs;
+  for (const PcnnaConfig& base :
+       {PcnnaConfig::paper_defaults(), PcnnaConfig::small_core(), fc})
+    for (const PcnnaConfig& cfg : with_setup_draws(base))
+      configs.push_back(cfg);
+  for (const PcnnaConfig& cfg : configs) {
     core::Accelerator fresh(cfg);
     fresh.reseed_engine(9);
     const core::NetworkRunReport want =
@@ -198,8 +221,6 @@ TEST(ProgramStore, MutatedWeightMissesTheStore) {
   }
 }
 
-// All-zero weights return the bias on a warm engine too: they draw nothing,
-// store nothing and never read a stored layer's weight statistics.
 // The weight digest runs eight lanes; a change at any lane position, or in
 // the tail past the last full group of eight, must miss the store.
 TEST(ProgramStore, ChangeAtEveryDigestLaneMisses) {
@@ -225,34 +246,45 @@ TEST(ProgramStore, ChangeAtEveryDigestLaneMisses) {
   }
 }
 
+/// One more call on `engine` without reseeding its noise RNG.
+Tensor run_on(OpticalConvEngine& engine, const Call& call) {
+  return call.fc ? engine.fully_connected(call.input, call.weights, call.bias)
+                 : engine.conv2d(call.input, call.weights, call.bias,
+                                 call.stride, call.pad);
+}
+
+// All-zero weights return the bias on a warm engine too: they draw no noise
+// key, store nothing and never read a stored layer's weight statistics.
 TEST(ProgramStore, ZeroWeightsReturnTheBiasAndStoreNothing) {
   const PcnnaConfig cfg = PcnnaConfig::paper_defaults();
-  for (Call call : {conv_call({"full", 10, 3, 1, 1, 16, 8}, 18),
-                    fc_call(120, 12, 19)}) {
+  ASSERT_TRUE(cfg.enable_noise);
+  for (const Call& call : {conv_call({"full", 10, 3, 1, 1, 16, 8}, 18),
+                           fc_call(120, 12, 19)}) {
     SCOPED_TRACE(call.fc ? "fully_connected" : "conv2d");
     OpticalConvEngine engine(cfg);
     call.run(engine, 22, nullptr);
     const std::size_t stored = engine.programmed_bytes();
     ASSERT_GT(stored, 0u);
 
-    for (std::size_t i = 0; i < call.weights.size(); ++i) call.weights[i] = 0.0;
-    engine.reseed_rng(23);
-    const Rng::State before = engine.rng_state();
-    const Tensor got = call.fc
-        ? engine.fully_connected(call.input, call.weights, call.bias)
-        : engine.conv2d(call.input, call.weights, call.bias, call.stride,
-                        call.pad);
-    const Rng::State after = engine.rng_state();
-    for (int w = 0; w < 4; ++w) EXPECT_EQ(before.s[w], after.s[w]);
+    Call zero = call;
+    for (std::size_t i = 0; i < zero.weights.size(); ++i) zero.weights[i] = 0.0;
+    const Tensor got = zero.run(engine, 23, nullptr);
     EXPECT_EQ(stored, engine.programmed_bytes());
-
     const std::size_t per_k = got.size() / call.bias.size();
     for (std::size_t i = 0; i < got.size(); ++i)
       ASSERT_TRUE(same_bits(call.bias[i / per_k], got[i])) << "element " << i;
+
+    // Had the zero-weight call drawn a noise key, the noisy call after it
+    // would differ from the same call made straight after the reseed.
+    OpticalConvEngine fresh(cfg);
+    expect_same_bits(call.run(fresh, 23, nullptr), run_on(engine, call));
   }
 }
 
-TEST(ProgramStore, ImpureSetUpNeverStores) {
+// Disorder and stuck heaters are properties of the chip: each config
+// stores every layer, and a warm call replays the cold one's bits, stuck
+// rings and calibration statistics.
+TEST(ProgramStore, DisorderedAndStuckSetUpStores) {
   PcnnaConfig disorder = PcnnaConfig::paper_defaults();
   disorder.bank.ring.fab_sigma = 0.05 * units::nm;
   PcnnaConfig stuck = PcnnaConfig::paper_defaults();
@@ -264,13 +296,23 @@ TEST(ProgramStore, ImpureSetUpNeverStores) {
                         fc_call(120, 12, 15)};
   for (const PcnnaConfig& cfg : {disorder, stuck, stuck_small}) {
     OpticalConvEngine engine(cfg);
+    std::size_t stored = 0;
+    std::uint64_t stuck_rings = 0;
     for (const Call& call : calls) {
-      EngineStats first, second;
-      const Tensor a = call.run(engine, 31, &first);
-      const Tensor b = call.run(engine, 31, &second);
-      EXPECT_EQ(0u, engine.programmed_bytes());
-      expect_same_bits(a, b);
-      expect_same_stats(first, second);
+      OpticalConvEngine fresh(cfg);
+      EngineStats cold, first, second;
+      const Tensor want = call.run(fresh, 31, &cold);
+      expect_same_bits(want, call.run(engine, 31, &first));
+      EXPECT_LT(stored, engine.programmed_bytes()) << "the layer was not kept";
+      stored = engine.programmed_bytes();
+      expect_same_bits(want, call.run(engine, 31, &second));
+      EXPECT_EQ(stored, engine.programmed_bytes()) << "the warm call missed";
+      expect_same_stats(cold, first);
+      expect_same_stats(cold, second);
+      stuck_rings += cold.stuck_rings;
+    }
+    if (cfg.stuck_ring_rate > 0.0) {
+      EXPECT_GT(stuck_rings, 0u);
     }
   }
 }

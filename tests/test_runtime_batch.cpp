@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
+#include "core/accelerator.hpp"
 #include "core/config.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
@@ -112,12 +114,6 @@ TEST(BatchRunner, ShardingConservesWork) {
     EXPECT_GT(results[id].output.size(), 0u);
   }
 
-  // Physical sharding: per-PCU wall counters sum to the batch.
-  std::size_t wall_total = 0;
-  for (std::size_t p = 0; p < fleet.pool().size(); ++p)
-    wall_total += fleet.pool().pcu(p).stats().requests_served;
-  EXPECT_EQ(17u, wall_total);
-
   // Virtual sharding: deterministic least-loaded schedule = 17 over 4.
   ASSERT_EQ(4u, report.per_pcu.size());
   std::size_t virtual_total = 0;
@@ -126,6 +122,16 @@ TEST(BatchRunner, ShardingConservesWork) {
   EXPECT_EQ(17u, virtual_total);
   EXPECT_EQ(5u, report.per_pcu[0].requests);
   EXPECT_EQ(4u, report.per_pcu[3].requests);
+
+  // Physical sharding: each PCU served exactly the requests the schedule
+  // gave it.
+  std::vector<std::size_t> served(fleet.pool().size(), 0);
+  for (const RequestResult& r : results) {
+    ASSERT_LT(r.pcu_index, served.size());
+    ++served[r.pcu_index];
+  }
+  for (std::size_t p = 0; p < served.size(); ++p)
+    EXPECT_EQ(report.per_pcu[p].requests, served[p]) << "PCU " << p;
 }
 
 TEST(BatchRunner, DeterministicUnderFixedSeed) {
@@ -248,6 +254,54 @@ TEST(BatchRunner, EnergyAggregatesAcrossFleet) {
   EXPECT_GT(report.total_energy, 0.0);
   EXPECT_NEAR(report.total_energy, 6.0 * report.energy_per_request,
               1e-9 * report.total_energy);
+}
+
+// Fabrication disorder and stuck heaters belong to the chip, not to the
+// request: on a noise-free config the request seed must not reach a single
+// output bit or stuck ring, and two PCUs built from one config are the
+// same chip.
+TEST(ChipStream, StuckRingsAreAPropertyOfTheChip) {
+  const Served s = make_served(4);
+  PcnnaConfig config = PcnnaConfig::paper_defaults();
+  config.enable_noise = false;
+  config.bank.ring.fab_sigma = 0.05 * units::nm;
+  config.stuck_ring_rate = 0.05;
+
+  BatchRunner fleet(config, s.net, s.weights, options(/*pcus=*/2));
+  const RequestResult first = fleet.run_one(s.inputs[0], 1);
+  const RequestResult second = fleet.run_one(s.inputs[0], 2);
+  EXPECT_TRUE(first.output == second.output)
+      << "the request id reached a noise-free output";
+
+  // A batch of one input shards over both PCUs; each must match.
+  const std::vector<nn::Tensor> same(4, s.inputs[0]);
+  std::vector<bool> seen(2, false);
+  for (const RequestResult& r : fleet.run(same)) {
+    ASSERT_LT(r.pcu_index, seen.size());
+    seen[r.pcu_index] = true;
+    EXPECT_TRUE(first.output == r.output)
+        << "request " << r.id << " on PCU " << r.pcu_index;
+  }
+  EXPECT_TRUE(seen[0] && seen[1]) << "the batch did not reach both PCUs";
+
+  // The stuck rings themselves do not depend on the request seed.
+  core::Accelerator a(config), b(config);
+  a.reseed_engine(runtime::derive_request_seed(99, 1));
+  b.reseed_engine(runtime::derive_request_seed(99, 2));
+  const core::NetworkRunReport ra =
+      a.run(s.net, s.weights, s.inputs[0], true, false);
+  const core::NetworkRunReport rb =
+      b.run(s.net, s.weights, s.inputs[0], true, false);
+  EXPECT_TRUE(ra.output == rb.output);
+  ASSERT_EQ(ra.conv_layers.size(), rb.conv_layers.size());
+  std::uint64_t stuck = 0;
+  for (std::size_t i = 0; i < ra.conv_layers.size(); ++i) {
+    EXPECT_EQ(ra.conv_layers[i].engine.stuck_rings,
+              rb.conv_layers[i].engine.stuck_rings)
+        << ra.conv_layers[i].layer_name;
+    stuck += ra.conv_layers[i].engine.stuck_rings;
+  }
+  EXPECT_GT(stuck, 0u) << "the config injected no stuck rings";
 }
 
 } // namespace
