@@ -6,9 +6,10 @@
 // call must return the bits and the EngineStats a fresh engine returns, and
 // a changed weight must miss the store. Bank set-up draws fabrication
 // disorder and stuck heaters from the chip's own stream, restarted at every
-// programming call, so configs with either store and replay them too. The fleet shares one timing slot per
-// distinct PCU config, which must equal the slot a lone Pcu computes, and
-// per-layer reference errors are computed only when asked for.
+// programming call, so configs with either store and replay them too. The
+// fleet shares one timing slot per distinct PCU config, which must equal
+// the slot a lone Pcu computes, and per-layer reference errors are
+// computed only when asked for.
 #include <gtest/gtest.h>
 
 #include <bit>
